@@ -1,6 +1,6 @@
 // Substrate benchmark (the "BLIS" line of every paper figure): per-kernel
-// micro-kernel peak, packing bandwidth, and GEMM effective GFLOPS across
-// sizes and thread counts.  Uses google-benchmark for the micro-level
+// micro-kernel peak, micro-kernel plus C update, packing bandwidth, and
+// GEMM effective GFLOPS across sizes and thread counts.  Uses google-benchmark for the micro-level
 // timings; micro-kernel and GEMM benchmarks are registered dynamically for
 // every *supported* kernel in the registry, so the emitted JSON tracks the
 // whole kernel family over time.
@@ -31,6 +31,31 @@ void BM_Microkernel(benchmark::State& state, const KernelInfo* kern) {
   for (auto _ : state) {
     fn(kc, a.data(), b.data(), acc);
     benchmark::DoNotOptimize(acc[0]);
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * kern->mr * kern->nr * kc * state.iterations() * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+
+// The micro-kernel followed by its full-tile C update into one L1-resident
+// target: the unit the macro-kernel repeats once per register tile.
+template <typename T>
+void BM_KernelUpdate(benchmark::State& state, const KernelInfo* kern) {
+  const index_t kc = state.range(0);
+  AlignedBuffer<T> a(static_cast<std::size_t>(kern->mr) * kc);
+  AlignedBuffer<T> b(static_cast<std::size_t>(kern->nr) * kc);
+  AlignedBuffer<T> c(static_cast<std::size_t>(kern->mr) * kern->nr);
+  alignas(64) T acc[kMaxAccElemsOf<T>];
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = T(1);
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = T(2);
+  for (std::size_t i = 0; i < c.size(); ++i) c[i] = T(0);
+  const OutTermT<T> target{c.data(), 1.0};
+  const auto fn = kernel_fn<T>(*kern);
+  for (auto _ : state) {
+    fn(kc, a.data(), b.data(), acc);
+    epilogue_update(*kern, &target, 1, kern->nr, kern->mr, kern->nr, acc);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.counters["GFLOPS"] = benchmark::Counter(
       2.0 * kern->mr * kern->nr * kc * state.iterations() * 1e-9,
@@ -166,6 +191,11 @@ void register_per_kernel_benchmarks() {
         ->Arg(64)
         ->Arg(256)
         ->Arg(1024);
+    benchmark::RegisterBenchmark(
+        ("BM_KernelUpdate/" + tag).c_str(),
+        f32 ? BM_KernelUpdate<float> : BM_KernelUpdate<double>, &kern)
+        ->Arg(64)
+        ->Arg(256);
     benchmark::RegisterBenchmark(("BM_Gemm/" + tag).c_str(),
                                  f32 ? BM_GemmF32 : BM_Gemm, &kern)
         ->Args({512, 1})

@@ -29,6 +29,7 @@ struct CpuidCacheLevel {
   bool data = false;  // data or unified
   long bytes = 0;
   int line = 0;
+  int ways = 0;
   int sharing = 1;  // max logical CPUs sharing this cache
 };
 
@@ -46,6 +47,7 @@ bool read_cpuid_cache_level(unsigned leaf, unsigned subleaf,
   const long sets = static_cast<long>(ecx) + 1;
   out->bytes = ways * partitions * line * sets;
   out->line = static_cast<int>(line);
+  out->ways = static_cast<int>(ways);
   out->sharing = static_cast<int>(((eax >> 14) & 0xfff) + 1);
   return true;
 }
@@ -80,6 +82,7 @@ bool detect_via_cpuid(CacheTopology* topo) {
       case 1:
         topo->l1d_bytes = lvl.bytes;
         topo->line_bytes = lvl.line;
+        topo->l1d_ways = lvl.ways;
         have_l1 = true;
         break;
       case 2:
@@ -194,6 +197,12 @@ bool detect_via_sysfs(CacheTopology* topo) {
             parse_long_strict(line_s.c_str(), 1, 1 << 16).value_or(0));
         if (line > 0) topo->line_bytes = line;
       }
+      std::string ways_s;
+      if (read_sysfs_file(base + "/ways_of_associativity", &ways_s)) {
+        const int ways = static_cast<int>(
+            parse_long_strict(ways_s.c_str(), 1, 1 << 16).value_or(0));
+        if (ways > 0) topo->l1d_ways = ways;
+      }
       have_l1 = true;
     } else if (level == 2) {
       topo->l2_bytes = bytes;
@@ -224,6 +233,10 @@ bool detect_via_sysconf(CacheTopology* topo) {
   const long line = sysconf(_SC_LEVEL1_DCACHE_LINESIZE);
   if (line > 0) topo->line_bytes = static_cast<int>(line);
 #endif
+#if defined(_SC_LEVEL1_DCACHE_ASSOC)
+  const long ways = sysconf(_SC_LEVEL1_DCACHE_ASSOC);
+  if (ways > 0) topo->l1d_ways = static_cast<int>(ways);
+#endif
   return true;
 #else
   (void)topo;
@@ -253,6 +266,7 @@ CacheTopology ivy_bridge_topology() {
   t.l2_bytes = 256 * 1024;
   t.l3_bytes = 25 * 1024 * 1024;
   t.line_bytes = 64;
+  t.l1d_ways = 8;
   t.l3_sharing = 10;
   t.detected = false;
   t.source = "default";
@@ -279,6 +293,7 @@ CacheTopology detect_cache_topology() {
   }
   if (topo.cpu_model.empty()) topo.cpu_model = fallback_cpu_model();
   if (topo.l3_sharing < 1) topo.l3_sharing = 1;
+  if (topo.l1d_ways < 1) topo.l1d_ways = 8;
   if (!topo.detected || !topo.plausible()) {
     // Unknown machine: substitute the geometry the paper's constants
     // assume, so derived blocking lands on the proven legacy values.

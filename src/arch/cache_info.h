@@ -29,6 +29,7 @@ struct CacheTopology {
   long l2_bytes = 0;    // per-core (or per-module) unified L2
   long l3_bytes = 0;    // one L3 slice (0 when the CPU has no L3)
   int line_bytes = 64;  // cache line size
+  int l1d_ways = 8;     // L1d associativity (blocking splits L1 by ways)
   int l3_sharing = 1;   // logical CPUs sharing one L3 slice (>= 1)
   bool detected = false;      // false: the defaults below were substituted
   std::string source;         // "cpuid", "sysfs", "sysconf", "default"

@@ -564,6 +564,7 @@ void FmmExecutorT<T>::run_item_prepacked(
   assert(item.c.rows() == m_ && item.c.cols() == n_ && item.a.cols() == k_);
   const index_t lda = item.a.stride(), ldc = item.c.stride();
   const int mr = bp_.mr, nr = bp_.nr;
+  const index_t mc_use = even_block(ms_, bp_.mc, mr, 1);
   const auto ukr = kernel_fn<T>(*bp_.kernel);
   T* apack = slot.ws.a_tile(0);
   typename GemmWorkspaceT<T>::TermScratch& scratch = slot.ws.terms(0);
@@ -593,8 +594,8 @@ void FmmExecutorT<T>::run_item_prepacked(
     }
     const T* bpack_r = shared_b_.data() + r * shared_b_panel_elems_;
 
-    for (index_t ic = 0; ic < ms_; ic += bp_.mc) {
-      const index_t mc_eff = std::min<index_t>(bp_.mc, ms_ - ic);
+    for (index_t ic = 0; ic < ms_; ic += mc_use) {
+      const index_t mc_eff = std::min<index_t>(mc_use, ms_ - ic);
       for (int i = 0; i < na; ++i) {
         a_local[i] = {slot.a_terms[static_cast<std::size_t>(i)].ptr + ic * lda,
                       slot.a_terms[static_cast<std::size_t>(i)].coeff};
@@ -613,7 +614,7 @@ void FmmExecutorT<T>::run_item_prepacked(
                              (ic + ir) * ldc + jr;
             c_local[t].coeff = slot.c_terms[static_cast<std::size_t>(t)].coeff;
           }
-          epilogue_update(c_local, nc, ldc, m_sub, n_sub, acc, mr, nr,
+          epilogue_update(*bp_.kernel, c_local, nc, ldc, m_sub, n_sub, acc,
                           /*accumulate=*/true);
         }
       }

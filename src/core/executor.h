@@ -191,7 +191,7 @@ class FmmExecutorT {
   const BlockingParams& blocking() const { return bp_; }
   int threads() const { return nth_; }
   int num_slots() const { return static_cast<int>(slots_.size()); }
-  // Plan name including the frozen kernel, e.g. "<2,2,2> ABC [avx2_8x6]".
+  // Plan name including the frozen kernel, e.g. "<2,2,2> ABC [avx2_6x8]".
   std::string name() const;
 
  private:

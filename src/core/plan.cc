@@ -46,7 +46,7 @@ std::string Plan::name() const {
   s += " ";
   s += variant_name(variant);
   // The selected kernel, when one is pinned, so bench CSVs and logs
-  // identify what actually ran: "<2,2,2>+<2,3,2> ABC [avx2_8x6]".
+  // identify what actually ran: "<2,2,2>+<2,3,2> ABC [avx2_6x8]".
   if (kernel != nullptr) {
     s += " [";
     s += kernel->name;

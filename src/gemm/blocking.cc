@@ -48,8 +48,17 @@ AutoBlocking derive_blocking(const KernelInfo& kernel,
   if (kc_pinned > 0) {
     ab.kc = kc_pinned;
   } else {
+    // Low et al.: the B micro-panel is reused across every A micro-panel
+    // of the tile, so it owns a whole number of L1 ways.  One way is left
+    // for the C tile; the rest split between A and B in proportion to
+    // their widths (C_Ar ways for A, C_Br = ceil(C_Ar * nR / mR) for B),
+    // and k_C is the depth at which the B micro-panel fills its C_Br ways.
     const double l1 = static_cast<double>(std::max(topo.l1d_bytes, 1L));
-    ab.kc = floor_multiple_clamped(l1 / ((kernel.mr + kernel.nr) * kWord),
+    const int ways = std::max(topo.l1d_ways, 2);
+    const int mr = kernel.mr, nr = kernel.nr;
+    const int ways_a = std::max(1, (ways - 1) * mr / (mr + nr));
+    const int ways_b = (ways_a * nr + mr - 1) / mr;
+    ab.kc = floor_multiple_clamped(ways_b * (l1 / ways) / (nr * kWord),
                                    /*step=*/64, /*lo=*/64, /*hi=*/1024);
   }
 

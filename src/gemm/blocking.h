@@ -54,6 +54,18 @@ struct GemmConfig {
 inline index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
 inline index_t round_up(index_t a, index_t b) { return ceil_div(a, b) * b; }
 
+// Height of the i_c blocks that split m rows: the fewest blocks of at most
+// `mc` rows, raised to `min_blocks` (one per thread) when m has that many
+// mr-high tiles, then sized evenly and rounded up to the register tile.
+// Even sizing keeps a thin remainder block from paying a full pass over
+// the packed B-panel (m = 1024, mc = 1020 splits 516 + 508, not 1020 + 4).
+// The result is a multiple of mr in [mr, round_up(mc, mr)].
+inline index_t even_block(index_t m, index_t mc, int mr, int min_blocks) {
+  const index_t blocks = std::max<index_t>(
+      {ceil_div(m, mc), std::min<index_t>(min_blocks, ceil_div(m, mr)), 1});
+  return round_up(std::max<index_t>(ceil_div(m, blocks), 1), mr);
+}
+
 // The blocking actually used by one fused-multiply call: the resolved
 // kernel plus cache block sizes rounded to its register tile.  Everything
 // downstream of resolve_blocking() works in these derived values; the raw
@@ -69,9 +81,11 @@ struct BlockingParams {
 
 // Analytic cache blocking for one kernel on one topology (testable with
 // hand-built topologies):
-//   k_C: an mR x k_C A micro-panel plus an nR x k_C B micro-panel stream
-//        through L1 together — k_C = L1d / ((mR + nR) * 8), floored to a
-//        multiple of 64 and clamped to [64, 1024];
+//   k_C: the nR x k_C B micro-panel stays in L1 while mR x k_C A
+//        micro-panels stream past it.  Of the L1d's W ways, one holds C,
+//        A gets C_Ar = floor((W - 1) / (1 + nR/mR)) and B gets
+//        C_Br = ceil(C_Ar * nR / mR); k_C fills B's C_Br ways, floored to
+//        a multiple of 64 and clamped to [64, 1024];
 //   m_C: the m_C x k_C packed A-tile occupies ~3/4 of L2 (the rest feeds
 //        the B micro-panels streaming past it), floored to a multiple of
 //        mR and clamped to [mR, 1536];

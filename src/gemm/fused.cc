@@ -84,17 +84,12 @@ void fused_multiply(index_t m, index_t n, index_t k,
 
   // Parallelization mode (paper §5.1 / Smith et al. IPDPS'14): by default
   // the 3rd loop around the micro-kernel (i_c) carries the data
-  // parallelism.  When m yields fewer row blocks than threads (small FMM
-  // submatrices), first shrink m_C so the i_c loop regains enough blocks
-  // (cheap: a thinner A-tile still lives comfortably in L2); only when
-  // even mR-high tiles cannot feed half the threads fall back to
-  // parallelizing the 2nd loop (j_r) with a cooperatively packed shared
-  // A-tile, which costs two barriers per tile.
-  index_t mc_use = bp.mc;
-  if (nth > 1 && ceil_div(m, mc_use) < nth) {
-    mc_use = std::max<index_t>(
-        mr, ceil_div(ceil_div(m, static_cast<index_t>(nth)), mr) * mr);
-  }
+  // parallelism.  The i_c blocks split m evenly, and into at least one
+  // block per thread when m allows (cheap: a thinner A-tile still lives
+  // comfortably in L2); only when even mR-high tiles cannot feed half the
+  // threads fall back to parallelizing the 2nd loop (j_r) with a
+  // cooperatively packed shared A-tile, which costs two barriers per tile.
+  const index_t mc_use = even_block(m, bp.mc, mr, nth);
   const bool jr_parallel =
       nth > 1 && ceil_div(m, mc_use) < std::max<index_t>(2, nth / 2);
 
@@ -149,8 +144,8 @@ void fused_multiply(index_t m, index_t n, index_t k,
                       c_terms[t].ptr + (ic + ir) * ldc + (jc + jr);
                   c_local[t].coeff = c_terms[t].coeff;
                 }
-                epilogue_update(c_local, num_c, ldc, m_sub, n_sub, acc,
-                                mr, nr, acc_this_block);
+                epilogue_update(*bp.kernel, c_local, num_c, ldc, m_sub,
+                                n_sub, acc, acc_this_block);
               }
             }
           }
@@ -185,8 +180,8 @@ void fused_multiply(index_t m, index_t n, index_t k,
                       c_terms[t].ptr + (ic + ir) * ldc + (jc + jr);
                   c_local[t].coeff = c_terms[t].coeff;
                 }
-                epilogue_update(c_local, num_c, ldc, m_sub, n_sub, acc,
-                                mr, nr, acc_this_block);
+                epilogue_update(*bp.kernel, c_local, num_c, ldc, m_sub,
+                                n_sub, acc, acc_this_block);
               }
             }
             // Implicit barrier before the shared tile is overwritten.

@@ -20,13 +20,41 @@ void portable_microkernel(index_t k, const T* a_panel, const T* b_panel,
   for (index_t kk = 0; kk < k; ++kk) {
     const T* a = a_panel + kk * MR;
     const T* b = b_panel + kk * NR;
-    for (int j = 0; j < NR; ++j) {
-      const T bj = b[j];
-      T* out = local + j * MR;
-      for (int r = 0; r < MR; ++r) out[r] += a[r] * bj;
+    for (int r = 0; r < MR; ++r) {
+      const T ar = a[r];
+      T* out = local + r * NR;
+      for (int j = 0; j < NR; ++j) out[j] += ar * b[j];
     }
   }
   for (int i = 0; i < MR * NR; ++i) acc[i] = local[i];
+}
+
+// C_t[0:m_sub, 0:n_sub] (+)= w_t * tile for a row-major tile of width nr:
+// the edge-tile path of every kernel and, with compile-time sizes, the
+// portable kernels' full-tile update.
+template <typename T>
+void masked_update(const OutTermT<T>* targets, int num_targets, index_t ldc,
+                   index_t m_sub, index_t n_sub, const T* acc, int nr,
+                   bool accumulate) {
+  for (int t = 0; t < num_targets; ++t) {
+    T* c = targets[t].ptr;
+    const T w = static_cast<T>(targets[t].coeff);
+    for (index_t r = 0; r < m_sub; ++r) {
+      T* crow = c + r * ldc;
+      const T* arow = acc + r * nr;
+      if (accumulate) {
+        for (index_t j = 0; j < n_sub; ++j) crow[j] += w * arow[j];
+      } else {
+        for (index_t j = 0; j < n_sub; ++j) crow[j] = w * arow[j];
+      }
+    }
+  }
+}
+
+template <typename T, int MR, int NR>
+void portable_update(const OutTermT<T>* targets, int num_targets, index_t ldc,
+                     const T* acc, bool accumulate) {
+  masked_update<T>(targets, num_targets, ldc, MR, NR, acc, NR, accumulate);
 }
 
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
@@ -47,40 +75,47 @@ std::vector<KernelInfo> build_registry() {
   // f64 family first; portable entries lead each family: always supported,
   // lowest throughput hints.
   reg.push_back({"portable", "generic", kF64, 8, 6,
-                 &portable_microkernel<double, 8, 6>, nullptr, 2.0, false,
+                 &portable_microkernel<double, 8, 6>, nullptr,
+                 &portable_update<double, 8, 6>, nullptr, 2.0, false,
                  nullptr});
   reg.push_back({"portable_4x12", "generic", kF64, 4, 12,
-                 &portable_microkernel<double, 4, 12>, nullptr, 1.8, false,
+                 &portable_microkernel<double, 4, 12>, nullptr,
+                 &portable_update<double, 4, 12>, nullptr, 1.8, false,
                  nullptr});
 #if defined(FMM_HAVE_AVX2_TU)
-  reg.push_back({"avx2_8x6", "avx2", kF64, 8, 6,
-                 &detail::microkernel_avx2_8x6, nullptr, 16.0, true,
+  reg.push_back({"avx2_6x8", "avx2", kF64, 6, 8, &detail::microkernel_avx2_6x8,
+                 nullptr, &detail::tile_update_avx2_6x8, nullptr, 16.0, true,
                  &cpu_has_avx2_fma});
   // Thinner tile: better edge utilization when the FMM submatrix rows are
-  // not close to a multiple of 8; slightly lower peak (more broadcasts per
-  // flop), hence the lower hint.
+  // not close to a multiple of 6; slightly lower peak (fewer FMAs per
+  // broadcast), hence the lower hint.
   reg.push_back({"avx2_4x12", "avx2", kF64, 4, 12,
-                 &detail::microkernel_avx2_4x12, nullptr, 14.0, true,
+                 &detail::microkernel_avx2_4x12, nullptr,
+                 &detail::tile_update_avx2_4x12, nullptr, 14.0, true,
                  &cpu_has_avx2_fma});
 #endif
 #if defined(FMM_HAVE_AVX512_TU)
-  reg.push_back({"avx512_8x6", "avx512", kF64, 8, 6,
-                 &detail::microkernel_avx512_8x6, nullptr, 32.0, true,
+  reg.push_back({"avx512_12x16", "avx512", kF64, 12, 16,
+                 &detail::microkernel_avx512_12x16, nullptr,
+                 &detail::tile_update_avx512_12x16, nullptr, 32.0, true,
                  &cpu_has_avx512f});
 #endif
   // f32 family.  The portable f32 entry shares the "portable" name with its
   // f64 sibling so FMM_KERNEL=portable pins the scalar fallback for *both*
   // dtypes (the no-AVX2 CI leg relies on this); lookups are by (name, dtype).
   reg.push_back({"portable", "generic", kF32, 8, 6, nullptr,
-                 &portable_microkernel<float, 8, 6>, 4.0, false, nullptr});
+                 &portable_microkernel<float, 8, 6>, nullptr,
+                 &portable_update<float, 8, 6>, 4.0, false, nullptr});
 #if defined(FMM_HAVE_AVX2_TU)
-  reg.push_back({"avx2_16x6", "avx2", kF32, 16, 6, nullptr,
-                 &detail::microkernel_avx2_16x6_f32, 32.0, true,
+  reg.push_back({"avx2_6x16", "avx2", kF32, 6, 16, nullptr,
+                 &detail::microkernel_avx2_6x16_f32, nullptr,
+                 &detail::tile_update_avx2_6x16_f32, 32.0, true,
                  &cpu_has_avx2_fma});
 #endif
 #if defined(FMM_HAVE_AVX512_TU)
-  reg.push_back({"avx512_16x6", "avx512", kF32, 16, 6, nullptr,
-                 &detail::microkernel_avx512_16x6_f32, 64.0, true,
+  reg.push_back({"avx512_12x32", "avx512", kF32, 12, 32, nullptr,
+                 &detail::microkernel_avx512_12x32_f32, nullptr,
+                 &detail::tile_update_avx512_12x32_f32, 64.0, true,
                  &cpu_has_avx512f});
 #endif
   (void)cpu_has_avx512f;  // non-x86 / no-TU builds
@@ -88,8 +123,9 @@ std::vector<KernelInfo> build_registry() {
   for (const KernelInfo& k : reg) {
     // Each entry must carry exactly the entry point of its dtype and fit
     // that dtype's accumulator bound.
-    assert((k.dtype == kF64) == (k.fn != nullptr));
-    assert((k.dtype == kF32) == (k.fn_f32 != nullptr));
+    assert((k.dtype == kF64) == (k.fn != nullptr && k.update != nullptr));
+    assert((k.dtype == kF32) ==
+           (k.fn_f32 != nullptr && k.update_f32 != nullptr));
     assert(k.mr <= (k.dtype == kF32 ? kMaxMRF32 : kMaxMR));
     assert(k.nr <= (k.dtype == kF32 ? kMaxNRF32 : kMaxNR));
     (void)k;
@@ -163,42 +199,25 @@ void microkernel_generic_impl(int mr, int nr, index_t k, const T* a_panel,
   for (index_t kk = 0; kk < k; ++kk) {
     const T* a = a_panel + kk * mr;
     const T* b = b_panel + kk * nr;
-    for (int j = 0; j < nr; ++j) {
-      const T bj = b[j];
-      T* out = local + j * mr;
-      for (int r = 0; r < mr; ++r) out[r] += a[r] * bj;
+    for (int r = 0; r < mr; ++r) {
+      const T ar = a[r];
+      T* out = local + r * nr;
+      for (int j = 0; j < nr; ++j) out[j] += ar * b[j];
     }
   }
   for (int i = 0; i < mr * nr; ++i) acc[i] = local[i];
 }
 
 template <typename T>
-void epilogue_update_impl(const OutTermT<T>* targets, int num_targets,
+void epilogue_update_impl(const KernelInfo& kern, TileUpdateFnT<T> update,
+                          const OutTermT<T>* targets, int num_targets,
                           index_t ldc, index_t m_sub, index_t n_sub,
-                          const T* acc, int mr, int nr, bool accumulate) {
-  for (int t = 0; t < num_targets; ++t) {
-    T* c = targets[t].ptr;
-    const T w = static_cast<T>(targets[t].coeff);
-    if (accumulate) {
-      // The fast path requires a *full* tile of the active kernel; edge
-      // tiles of any kernel size take the masked loops.
-      if (m_sub == mr && n_sub == nr) {
-        for (int r = 0; r < mr; ++r) {
-          T* crow = c + r * ldc;
-          for (int j = 0; j < nr; ++j) crow[j] += w * acc[j * mr + r];
-        }
-      } else {
-        for (index_t r = 0; r < m_sub; ++r) {
-          T* crow = c + r * ldc;
-          for (index_t j = 0; j < n_sub; ++j) crow[j] += w * acc[j * mr + r];
-        }
-      }
-    } else {
-      for (index_t r = 0; r < m_sub; ++r) {
-        T* crow = c + r * ldc;
-        for (index_t j = 0; j < n_sub; ++j) crow[j] = w * acc[j * mr + r];
-      }
-    }
+                          const T* acc, bool accumulate) {
+  if (m_sub == kern.mr && n_sub == kern.nr) {
+    update(targets, num_targets, ldc, acc, accumulate);
+  } else {
+    masked_update<T>(targets, num_targets, ldc, m_sub, n_sub, acc, kern.nr,
+                     accumulate);
   }
 }
 
@@ -268,18 +287,18 @@ void microkernel_portable(index_t k, const float* a_panel,
   portable_microkernel<float, 8, 6>(k, a_panel, b_panel, acc);
 }
 
-void epilogue_update(const OutTerm* targets, int num_targets, index_t ldc,
-                     index_t m_sub, index_t n_sub, const double* acc, int mr,
-                     int nr, bool accumulate) {
-  epilogue_update_impl<double>(targets, num_targets, ldc, m_sub, n_sub, acc,
-                               mr, nr, accumulate);
+void epilogue_update(const KernelInfo& kern, const OutTerm* targets,
+                     int num_targets, index_t ldc, index_t m_sub,
+                     index_t n_sub, const double* acc, bool accumulate) {
+  epilogue_update_impl<double>(kern, kern.update, targets, num_targets, ldc,
+                               m_sub, n_sub, acc, accumulate);
 }
 
-void epilogue_update(const OutTermF32* targets, int num_targets, index_t ldc,
-                     index_t m_sub, index_t n_sub, const float* acc, int mr,
-                     int nr, bool accumulate) {
-  epilogue_update_impl<float>(targets, num_targets, ldc, m_sub, n_sub, acc,
-                              mr, nr, accumulate);
+void epilogue_update(const KernelInfo& kern, const OutTermF32* targets,
+                     int num_targets, index_t ldc, index_t m_sub,
+                     index_t n_sub, const float* acc, bool accumulate) {
+  epilogue_update_impl<float>(kern, kern.update_f32, targets, num_targets,
+                              ldc, m_sub, n_sub, acc, accumulate);
 }
 
 }  // namespace fmm

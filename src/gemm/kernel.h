@@ -10,15 +10,19 @@
 // type, function pointer, and a static throughput hint the selector can
 // rank with.
 //
-// Contract shared by every kernel (identical to the old single kernel, but
-// with per-kernel tile sizes and element type):
+// Contract shared by every kernel:
 //
-//   acc[j * mr + r] = sum_{kk < k} a_panel[kk * mr + r] * b_panel[kk * nr + j]
+//   acc[r * nr + j] = sum_{kk < k} a_panel[kk * mr + r] * b_panel[kk * nr + j]
 //
 // `a_panel` / `b_panel` point at one packed panel (see pack.h); `acc` is a
-// column-blocked mr x nr scratch block, always overwritten (k == 0 zeroes
-// it).  The epilogue then applies the block to one or many output
-// submatrices with per-target coefficients.
+// row-major mr x nr scratch tile, always overwritten (k == 0 zeroes it).
+// The vector kernels are row-preferential: each tile row lives in nr/lanes
+// vector registers, B is vector-loaded and A broadcast, so a 12x16 f64
+// tile on AVX-512 keeps 24 accumulators in flight.  The row-major tile
+// also lets the C update run on whole vectors: each kernel carries its
+// own full-tile update (KernelInfo::update), compiled in the kernel's ISA
+// translation unit, and epilogue_update() falls back to a masked scalar
+// loop only for edge tiles.
 //
 // Selection (per element type — the registry holds an f64 family and an f32
 // family, and every resolution step takes the dtype):
@@ -51,7 +55,7 @@ inline constexpr int kMaxMR = 16;
 inline constexpr int kMaxNR = 16;
 inline constexpr int kMaxAccElems = kMaxMR * kMaxNR;
 inline constexpr int kMaxMRF32 = 32;
-inline constexpr int kMaxNRF32 = 16;
+inline constexpr int kMaxNRF32 = 32;
 inline constexpr int kMaxAccElemsF32 = kMaxMRF32 * kMaxNRF32;
 
 template <typename T>
@@ -64,14 +68,22 @@ using MicrokernelFn = void (*)(index_t k, const double* a_panel,
 using MicrokernelF32Fn = void (*)(index_t k, const float* a_panel,
                                   const float* b_panel, float* acc);
 
+// Full-tile C update: for each target t, C_t[0:mr, 0:nr] += coeff_t * acc
+// (accumulate) or = coeff_t * acc (overwrite), C_t row stride `ldc`.
+template <typename T>
+using TileUpdateFnT = void (*)(const OutTermT<T>* targets, int num_targets,
+                               index_t ldc, const T* acc, bool accumulate);
+
 struct KernelInfo {
-  const char* name;  // registry key, e.g. "avx2_8x6"; unique per dtype
+  const char* name;  // registry key, e.g. "avx2_6x8"; unique per dtype
   const char* isa;   // "generic", "avx2", "avx512"
   DType dtype;
   int mr;
   int nr;
   MicrokernelFn fn;         // set iff dtype == kF64
   MicrokernelF32Fn fn_f32;  // set iff dtype == kF32
+  TileUpdateFnT<double> update;     // set iff dtype == kF64
+  TileUpdateFnT<float> update_f32;  // set iff dtype == kF32
   // Rough sustained flops/cycle at this dtype (portable ~2, AVX2 FMA ~16
   // f64 / ~32 f32, AVX-512 double that).  Used to pick the process-wide
   // default kernel and as the pre-calibration fallback (FMM_CALIBRATE=0);
@@ -151,17 +163,17 @@ void microkernel_portable(index_t k, const double* a_panel,
 void microkernel_portable(index_t k, const float* a_panel,
                           const float* b_panel, float* acc);
 
-// Epilogue: for each target t, C_t[0:m_sub, 0:n_sub] += coeff_t * block
-// (accumulate == true) or = coeff_t * block (overwrite; used for the first
-// k-block when streaming into a fresh temporary).  `acc` is laid out with
-// leading dimension mr; m_sub <= mr and n_sub <= nr mask edge tiles — the
-// full-tile fast path is taken only when m_sub == mr && n_sub == nr, so a
-// non-8x6 kernel can never take the unmasked path on an edge tile.
-void epilogue_update(const OutTerm* targets, int num_targets, index_t ldc,
-                     index_t m_sub, index_t n_sub, const double* acc, int mr,
-                     int nr, bool accumulate = true);
-void epilogue_update(const OutTermF32* targets, int num_targets, index_t ldc,
-                     index_t m_sub, index_t n_sub, const float* acc, int mr,
-                     int nr, bool accumulate = true);
+// Epilogue: for each target t, C_t[0:m_sub, 0:n_sub] += coeff_t * tile
+// (accumulate == true) or = coeff_t * tile (overwrite; used for the first
+// k-block when streaming into a fresh temporary).  `acc` is the kernel's
+// row-major mr x nr tile.  A full tile (m_sub == mr && n_sub == nr) goes
+// to kern.update; an edge tile takes the masked scalar loop, which never
+// touches C outside [0, m_sub) x [0, n_sub).
+void epilogue_update(const KernelInfo& kern, const OutTerm* targets,
+                     int num_targets, index_t ldc, index_t m_sub,
+                     index_t n_sub, const double* acc, bool accumulate = true);
+void epilogue_update(const KernelInfo& kern, const OutTermF32* targets,
+                     int num_targets, index_t ldc, index_t m_sub,
+                     index_t n_sub, const float* acc, bool accumulate = true);
 
 }  // namespace fmm

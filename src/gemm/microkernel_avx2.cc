@@ -9,140 +9,74 @@
 
 #include <immintrin.h>
 
+#include "src/gemm/row_kernel.h"
+
 namespace fmm {
 namespace detail {
+namespace {
 
-// 8x6 kernel: 12 accumulator registers (2 vectors of 4 rows x 6 columns),
-// 2 loads of A and 6 broadcasts of B per k iteration.  The classic
-// near-peak dgemm register layout for 16-register AVX2 targets.
-void microkernel_avx2_8x6(index_t k, const double* a_panel,
+struct YmmF64 {
+  using T = double;
+  using R = __m256d;
+  static constexpr int kLanes = 4;
+  static R zero() { return _mm256_setzero_pd(); }
+  static R load(const T* p) { return _mm256_loadu_pd(p); }
+  static R bcast(T x) { return _mm256_set1_pd(x); }
+  static R fma(R a, R b, R c) { return _mm256_fmadd_pd(a, b, c); }
+  static R mul(R a, R b) { return _mm256_mul_pd(a, b); }
+  static void store(T* p, R v) { _mm256_storeu_pd(p, v); }
+};
+
+struct YmmF32 {
+  using T = float;
+  using R = __m256;
+  static constexpr int kLanes = 8;
+  static R zero() { return _mm256_setzero_ps(); }
+  static R load(const T* p) { return _mm256_loadu_ps(p); }
+  static R bcast(T x) { return _mm256_set1_ps(x); }
+  static R fma(R a, R b, R c) { return _mm256_fmadd_ps(a, b, c); }
+  static R mul(R a, R b) { return _mm256_mul_ps(a, b); }
+  static void store(T* p, R v) { _mm256_storeu_ps(p, v); }
+};
+
+}  // namespace
+
+// 6x8: two ymm per tile row, 12 accumulators + 2 B vectors + 1 broadcast
+// of the 16-register AVX2 file; 6 broadcasts feed 12 FMAs per k.
+void microkernel_avx2_6x8(index_t k, const double* a_panel,
                           const double* b_panel, double* acc) {
-  constexpr int MR = 8, NR = 6;
-  __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-  __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-  __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-  __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-  __m256d c40 = _mm256_setzero_pd(), c41 = _mm256_setzero_pd();
-  __m256d c50 = _mm256_setzero_pd(), c51 = _mm256_setzero_pd();
-
-  const double* a = a_panel;
-  const double* b = b_panel;
-  for (index_t kk = 0; kk < k; ++kk) {
-    const __m256d a0 = _mm256_loadu_pd(a);
-    const __m256d a1 = _mm256_loadu_pd(a + 4);
-    __m256d bj;
-    bj = _mm256_broadcast_sd(b + 0);
-    c00 = _mm256_fmadd_pd(a0, bj, c00);
-    c01 = _mm256_fmadd_pd(a1, bj, c01);
-    bj = _mm256_broadcast_sd(b + 1);
-    c10 = _mm256_fmadd_pd(a0, bj, c10);
-    c11 = _mm256_fmadd_pd(a1, bj, c11);
-    bj = _mm256_broadcast_sd(b + 2);
-    c20 = _mm256_fmadd_pd(a0, bj, c20);
-    c21 = _mm256_fmadd_pd(a1, bj, c21);
-    bj = _mm256_broadcast_sd(b + 3);
-    c30 = _mm256_fmadd_pd(a0, bj, c30);
-    c31 = _mm256_fmadd_pd(a1, bj, c31);
-    bj = _mm256_broadcast_sd(b + 4);
-    c40 = _mm256_fmadd_pd(a0, bj, c40);
-    c41 = _mm256_fmadd_pd(a1, bj, c41);
-    bj = _mm256_broadcast_sd(b + 5);
-    c50 = _mm256_fmadd_pd(a0, bj, c50);
-    c51 = _mm256_fmadd_pd(a1, bj, c51);
-    a += MR;
-    b += NR;
-  }
-  _mm256_storeu_pd(acc + 0 * MR + 0, c00);
-  _mm256_storeu_pd(acc + 0 * MR + 4, c01);
-  _mm256_storeu_pd(acc + 1 * MR + 0, c10);
-  _mm256_storeu_pd(acc + 1 * MR + 4, c11);
-  _mm256_storeu_pd(acc + 2 * MR + 0, c20);
-  _mm256_storeu_pd(acc + 2 * MR + 4, c21);
-  _mm256_storeu_pd(acc + 3 * MR + 0, c30);
-  _mm256_storeu_pd(acc + 3 * MR + 4, c31);
-  _mm256_storeu_pd(acc + 4 * MR + 0, c40);
-  _mm256_storeu_pd(acc + 4 * MR + 4, c41);
-  _mm256_storeu_pd(acc + 5 * MR + 0, c50);
-  _mm256_storeu_pd(acc + 5 * MR + 4, c51);
+  row_microkernel<YmmF64, 6, 8>(k, a_panel, b_panel, acc);
 }
 
-// 4x12 kernel: one 4-row vector per column, 12 accumulators + 1 A vector
-// leaves 3 registers for the B broadcasts.  Same 48-element register file
-// as 8x6 but a thinner tile: less row padding when the FMM submatrix
-// height is far from a multiple of 8, at the cost of one load amortized
-// over 6 instead of 12 FMAs.
+void tile_update_avx2_6x8(const OutTerm* targets, int num_targets,
+                          index_t ldc, const double* acc, bool accumulate) {
+  row_tile_update<YmmF64, 6, 8>(targets, num_targets, ldc, acc, accumulate);
+}
+
+// 4x12: three ymm per row, 12 accumulators + 3 B vectors + 1 broadcast.
+// Thinner tile: less row padding when the FMM submatrix height is far
+// from a multiple of 6, at the cost of fewer FMAs per broadcast.
 void microkernel_avx2_4x12(index_t k, const double* a_panel,
                            const double* b_panel, double* acc) {
-  constexpr int MR = 4, NR = 12;
-  __m256d c[NR];
-  for (int j = 0; j < NR; ++j) c[j] = _mm256_setzero_pd();
-
-  const double* a = a_panel;
-  const double* b = b_panel;
-  for (index_t kk = 0; kk < k; ++kk) {
-    const __m256d a0 = _mm256_loadu_pd(a);
-    for (int j = 0; j < NR; ++j) {
-      c[j] = _mm256_fmadd_pd(a0, _mm256_broadcast_sd(b + j), c[j]);
-    }
-    a += MR;
-    b += NR;
-  }
-  for (int j = 0; j < NR; ++j) _mm256_storeu_pd(acc + j * MR, c[j]);
+  row_microkernel<YmmF64, 4, 12>(k, a_panel, b_panel, acc);
 }
 
-// f32 16x6 kernel: the single-precision twin of the 8x6 dgemm layout — the
-// same 12 accumulators / 2 loads / 6 broadcasts per k, but each __m256 now
-// holds 8 floats, so the tile doubles to 16 rows and every FMA retires
-// twice the flops.
-void microkernel_avx2_16x6_f32(index_t k, const float* a_panel,
-                               const float* b_panel, float* acc) {
-  constexpr int MR = 16, NR = 6;
-  __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-  __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-  __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-  __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-  __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
-  __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
+void tile_update_avx2_4x12(const OutTerm* targets, int num_targets,
+                           index_t ldc, const double* acc, bool accumulate) {
+  row_tile_update<YmmF64, 4, 12>(targets, num_targets, ldc, acc, accumulate);
+}
 
-  const float* a = a_panel;
-  const float* b = b_panel;
-  for (index_t kk = 0; kk < k; ++kk) {
-    const __m256 a0 = _mm256_loadu_ps(a);
-    const __m256 a1 = _mm256_loadu_ps(a + 8);
-    __m256 bj;
-    bj = _mm256_broadcast_ss(b + 0);
-    c00 = _mm256_fmadd_ps(a0, bj, c00);
-    c01 = _mm256_fmadd_ps(a1, bj, c01);
-    bj = _mm256_broadcast_ss(b + 1);
-    c10 = _mm256_fmadd_ps(a0, bj, c10);
-    c11 = _mm256_fmadd_ps(a1, bj, c11);
-    bj = _mm256_broadcast_ss(b + 2);
-    c20 = _mm256_fmadd_ps(a0, bj, c20);
-    c21 = _mm256_fmadd_ps(a1, bj, c21);
-    bj = _mm256_broadcast_ss(b + 3);
-    c30 = _mm256_fmadd_ps(a0, bj, c30);
-    c31 = _mm256_fmadd_ps(a1, bj, c31);
-    bj = _mm256_broadcast_ss(b + 4);
-    c40 = _mm256_fmadd_ps(a0, bj, c40);
-    c41 = _mm256_fmadd_ps(a1, bj, c41);
-    bj = _mm256_broadcast_ss(b + 5);
-    c50 = _mm256_fmadd_ps(a0, bj, c50);
-    c51 = _mm256_fmadd_ps(a1, bj, c51);
-    a += MR;
-    b += NR;
-  }
-  _mm256_storeu_ps(acc + 0 * MR + 0, c00);
-  _mm256_storeu_ps(acc + 0 * MR + 8, c01);
-  _mm256_storeu_ps(acc + 1 * MR + 0, c10);
-  _mm256_storeu_ps(acc + 1 * MR + 8, c11);
-  _mm256_storeu_ps(acc + 2 * MR + 0, c20);
-  _mm256_storeu_ps(acc + 2 * MR + 8, c21);
-  _mm256_storeu_ps(acc + 3 * MR + 0, c30);
-  _mm256_storeu_ps(acc + 3 * MR + 8, c31);
-  _mm256_storeu_ps(acc + 4 * MR + 0, c40);
-  _mm256_storeu_ps(acc + 4 * MR + 8, c41);
-  _mm256_storeu_ps(acc + 5 * MR + 0, c50);
-  _mm256_storeu_ps(acc + 5 * MR + 8, c51);
+// f32 6x16: the single-precision twin of 6x8 — the same 12 accumulators,
+// each __m256 holding 8 floats.
+void microkernel_avx2_6x16_f32(index_t k, const float* a_panel,
+                               const float* b_panel, float* acc) {
+  row_microkernel<YmmF32, 6, 16>(k, a_panel, b_panel, acc);
+}
+
+void tile_update_avx2_6x16_f32(const OutTermF32* targets, int num_targets,
+                               index_t ldc, const float* acc,
+                               bool accumulate) {
+  row_tile_update<YmmF32, 6, 16>(targets, num_targets, ldc, acc, accumulate);
 }
 
 }  // namespace detail

@@ -1,4 +1,4 @@
-// AVX-512 micro-kernel.  Compiled with -mavx512f regardless of the global
+// AVX-512 micro-kernels.  Compiled with -mavx512f regardless of the global
 // target (see CMakeLists); only reachable through the registry when cpuid
 // reports AVX-512F.
 
@@ -8,113 +8,63 @@
 
 #include <immintrin.h>
 
+#include "src/gemm/row_kernel.h"
+
 namespace fmm {
 namespace detail {
+namespace {
 
-// 8x6 AVX-512 kernel: one zmm covers the full 8-row column, so each column
-// needs a single FMA per k.  Two accumulator banks (k unrolled by 2) keep
-// twelve independent FMA chains in flight, hiding the FMA latency; the
-// scalar B values use set1 (the compiler lowers them to embedded
-// broadcasts).
-void microkernel_avx512_8x6(index_t k, const double* a_panel,
-                            const double* b_panel, double* acc) {
-  constexpr int MR = 8, NR = 6;
-  __m512d c0 = _mm512_setzero_pd(), c1 = _mm512_setzero_pd();
-  __m512d c2 = _mm512_setzero_pd(), c3 = _mm512_setzero_pd();
-  __m512d c4 = _mm512_setzero_pd(), c5 = _mm512_setzero_pd();
-  __m512d d0 = _mm512_setzero_pd(), d1 = _mm512_setzero_pd();
-  __m512d d2 = _mm512_setzero_pd(), d3 = _mm512_setzero_pd();
-  __m512d d4 = _mm512_setzero_pd(), d5 = _mm512_setzero_pd();
-  const double* a = a_panel;
-  const double* b = b_panel;
-  index_t kk = 0;
-  for (; kk + 2 <= k; kk += 2) {
-    const __m512d a0 = _mm512_loadu_pd(a);
-    const __m512d a1 = _mm512_loadu_pd(a + MR);
-    c0 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[0]), c0);
-    c1 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[1]), c1);
-    c2 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[2]), c2);
-    c3 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[3]), c3);
-    c4 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[4]), c4);
-    c5 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[5]), c5);
-    d0 = _mm512_fmadd_pd(a1, _mm512_set1_pd(b[6]), d0);
-    d1 = _mm512_fmadd_pd(a1, _mm512_set1_pd(b[7]), d1);
-    d2 = _mm512_fmadd_pd(a1, _mm512_set1_pd(b[8]), d2);
-    d3 = _mm512_fmadd_pd(a1, _mm512_set1_pd(b[9]), d3);
-    d4 = _mm512_fmadd_pd(a1, _mm512_set1_pd(b[10]), d4);
-    d5 = _mm512_fmadd_pd(a1, _mm512_set1_pd(b[11]), d5);
-    a += 2 * MR;
-    b += 2 * NR;
-  }
-  for (; kk < k; ++kk) {
-    const __m512d a0 = _mm512_loadu_pd(a);
-    c0 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[0]), c0);
-    c1 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[1]), c1);
-    c2 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[2]), c2);
-    c3 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[3]), c3);
-    c4 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[4]), c4);
-    c5 = _mm512_fmadd_pd(a0, _mm512_set1_pd(b[5]), c5);
-    a += MR;
-    b += NR;
-  }
-  _mm512_storeu_pd(acc + 0 * MR, _mm512_add_pd(c0, d0));
-  _mm512_storeu_pd(acc + 1 * MR, _mm512_add_pd(c1, d1));
-  _mm512_storeu_pd(acc + 2 * MR, _mm512_add_pd(c2, d2));
-  _mm512_storeu_pd(acc + 3 * MR, _mm512_add_pd(c3, d3));
-  _mm512_storeu_pd(acc + 4 * MR, _mm512_add_pd(c4, d4));
-  _mm512_storeu_pd(acc + 5 * MR, _mm512_add_pd(c5, d5));
+struct ZmmF64 {
+  using T = double;
+  using R = __m512d;
+  static constexpr int kLanes = 8;
+  static R zero() { return _mm512_setzero_pd(); }
+  static R load(const T* p) { return _mm512_loadu_pd(p); }
+  static R bcast(T x) { return _mm512_set1_pd(x); }
+  static R fma(R a, R b, R c) { return _mm512_fmadd_pd(a, b, c); }
+  static R mul(R a, R b) { return _mm512_mul_pd(a, b); }
+  static void store(T* p, R v) { _mm512_storeu_pd(p, v); }
+};
+
+struct ZmmF32 {
+  using T = float;
+  using R = __m512;
+  static constexpr int kLanes = 16;
+  static R zero() { return _mm512_setzero_ps(); }
+  static R load(const T* p) { return _mm512_loadu_ps(p); }
+  static R bcast(T x) { return _mm512_set1_ps(x); }
+  static R fma(R a, R b, R c) { return _mm512_fmadd_ps(a, b, c); }
+  static R mul(R a, R b) { return _mm512_mul_ps(a, b); }
+  static void store(T* p, R v) { _mm512_storeu_ps(p, v); }
+};
+
+}  // namespace
+
+// 12x16: each tile row is two zmm, so 24 of the 32 registers accumulate;
+// per k, 2 vector loads of B and 12 broadcasts of A (folded into the FMAs
+// as embedded broadcasts) feed 24 independent FMAs — enough chains to
+// cover FMA latency times both FMA ports.
+void microkernel_avx512_12x16(index_t k, const double* a_panel,
+                              const double* b_panel, double* acc) {
+  row_microkernel<ZmmF64, 12, 16>(k, a_panel, b_panel, acc);
 }
 
-// f32 16x6: one zmm spans the full 16-row column, mirroring the f64 8x6
-// structure above — dual accumulator banks with k unrolled by 2 for
-// latency hiding, set1 broadcasts of B.
-void microkernel_avx512_16x6_f32(index_t k, const float* a_panel,
-                                 const float* b_panel, float* acc) {
-  constexpr int MR = 16, NR = 6;
-  __m512 c0 = _mm512_setzero_ps(), c1 = _mm512_setzero_ps();
-  __m512 c2 = _mm512_setzero_ps(), c3 = _mm512_setzero_ps();
-  __m512 c4 = _mm512_setzero_ps(), c5 = _mm512_setzero_ps();
-  __m512 d0 = _mm512_setzero_ps(), d1 = _mm512_setzero_ps();
-  __m512 d2 = _mm512_setzero_ps(), d3 = _mm512_setzero_ps();
-  __m512 d4 = _mm512_setzero_ps(), d5 = _mm512_setzero_ps();
-  const float* a = a_panel;
-  const float* b = b_panel;
-  index_t kk = 0;
-  for (; kk + 2 <= k; kk += 2) {
-    const __m512 a0 = _mm512_loadu_ps(a);
-    const __m512 a1 = _mm512_loadu_ps(a + MR);
-    c0 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[0]), c0);
-    c1 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[1]), c1);
-    c2 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[2]), c2);
-    c3 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[3]), c3);
-    c4 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[4]), c4);
-    c5 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[5]), c5);
-    d0 = _mm512_fmadd_ps(a1, _mm512_set1_ps(b[6]), d0);
-    d1 = _mm512_fmadd_ps(a1, _mm512_set1_ps(b[7]), d1);
-    d2 = _mm512_fmadd_ps(a1, _mm512_set1_ps(b[8]), d2);
-    d3 = _mm512_fmadd_ps(a1, _mm512_set1_ps(b[9]), d3);
-    d4 = _mm512_fmadd_ps(a1, _mm512_set1_ps(b[10]), d4);
-    d5 = _mm512_fmadd_ps(a1, _mm512_set1_ps(b[11]), d5);
-    a += 2 * MR;
-    b += 2 * NR;
-  }
-  for (; kk < k; ++kk) {
-    const __m512 a0 = _mm512_loadu_ps(a);
-    c0 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[0]), c0);
-    c1 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[1]), c1);
-    c2 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[2]), c2);
-    c3 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[3]), c3);
-    c4 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[4]), c4);
-    c5 = _mm512_fmadd_ps(a0, _mm512_set1_ps(b[5]), c5);
-    a += MR;
-    b += NR;
-  }
-  _mm512_storeu_ps(acc + 0 * MR, _mm512_add_ps(c0, d0));
-  _mm512_storeu_ps(acc + 1 * MR, _mm512_add_ps(c1, d1));
-  _mm512_storeu_ps(acc + 2 * MR, _mm512_add_ps(c2, d2));
-  _mm512_storeu_ps(acc + 3 * MR, _mm512_add_ps(c3, d3));
-  _mm512_storeu_ps(acc + 4 * MR, _mm512_add_ps(c4, d4));
-  _mm512_storeu_ps(acc + 5 * MR, _mm512_add_ps(c5, d5));
+void tile_update_avx512_12x16(const OutTerm* targets, int num_targets,
+                              index_t ldc, const double* acc,
+                              bool accumulate) {
+  row_tile_update<ZmmF64, 12, 16>(targets, num_targets, ldc, acc, accumulate);
+}
+
+// f32 12x32: the same 24-accumulator layout with 16 lanes per register.
+void microkernel_avx512_12x32_f32(index_t k, const float* a_panel,
+                                  const float* b_panel, float* acc) {
+  row_microkernel<ZmmF32, 12, 32>(k, a_panel, b_panel, acc);
+}
+
+void tile_update_avx512_12x32_f32(const OutTermF32* targets, int num_targets,
+                                  index_t ldc, const float* acc,
+                                  bool accumulate) {
+  row_tile_update<ZmmF32, 12, 32>(targets, num_targets, ldc, acc, accumulate);
 }
 
 }  // namespace detail

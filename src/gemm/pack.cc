@@ -5,59 +5,92 @@
 namespace fmm {
 namespace {
 
-// Specialized single-term A-pack: the plain-GEMM fast path (coeff almost
-// always 1.0) and the dominant case after common-subexpression collapse.
-// Templated on the panel height so the row loop fully unrolls for the
-// register tiles actually registered (see the switch in pack_a).
+// One mr-row A panel: rows [row0, row0 + rows) of the weighted sum, packed
+// column-major (dst[kk * mr + r]) and zero-padded to mr rows.  The first
+// term writes and the rest add, one pass per term over a panel that stays
+// in L1.  MR > 0 fixes the panel height at compile time so the row loop
+// unrolls; MR == 0 is the runtime-height fallback.
 template <typename T, int MR>
-void pack_a_one_t(const T* a, double coeff, index_t lda, index_t m,
-                  index_t k, T* out) {
-  const T c = static_cast<T>(coeff);
-  const index_t full_panels = m / MR;
-  for (index_t p = 0; p < full_panels; ++p) {
-    const T* src = a + p * MR * lda;
-    T* dst = out + p * MR * k;
-    for (index_t kk = 0; kk < k; ++kk) {
-      for (int r = 0; r < MR; ++r) dst[kk * MR + r] = c * src[r * lda + kk];
-    }
-  }
-  const index_t rem = m - full_panels * MR;
-  if (rem > 0) {
-    const T* src = a + full_panels * MR * lda;
-    T* dst = out + full_panels * MR * k;
-    for (index_t kk = 0; kk < k; ++kk) {
-      for (index_t r = 0; r < rem; ++r) dst[kk * MR + r] = c * src[r * lda + kk];
-      for (index_t r = rem; r < MR; ++r) dst[kk * MR + r] = T(0);
+void pack_a_one_panel(const LinTermT<T>* terms, int num_terms, index_t lda,
+                      index_t row0, index_t rows, index_t k, int mr_rt,
+                      T* dst) {
+  const int mr = MR > 0 ? MR : mr_rt;
+  for (int t = 0; t < num_terms; ++t) {
+    const T* src = terms[t].ptr + row0 * lda;
+    const T c = static_cast<T>(terms[t].coeff);
+    if (t > 0) {
+      for (index_t kk = 0; kk < k; ++kk) {
+        for (index_t r = 0; r < rows; ++r)
+          dst[kk * mr + r] += c * src[r * lda + kk];
+      }
+    } else if (rows == mr) {
+      for (index_t kk = 0; kk < k; ++kk) {
+        for (int r = 0; r < mr; ++r) dst[kk * mr + r] = c * src[r * lda + kk];
+      }
+    } else {
+      for (index_t kk = 0; kk < k; ++kk) {
+        for (index_t r = 0; r < rows; ++r)
+          dst[kk * mr + r] = c * src[r * lda + kk];
+        for (index_t r = rows; r < mr; ++r) dst[kk * mr + r] = T(0);
+      }
     }
   }
 }
 
-template <typename T>
-void pack_a_one(const T* a, double coeff, index_t lda, index_t m,
-                index_t k, int mr, T* out) {
-  switch (mr) {
-    case 16:
-      pack_a_one_t<T, 16>(a, coeff, lda, m, k, out);
-      return;
-    case 8:
-      pack_a_one_t<T, 8>(a, coeff, lda, m, k, out);
-      return;
-    case 4:
-      pack_a_one_t<T, 4>(a, coeff, lda, m, k, out);
-      return;
-    default:
-      break;
-  }
-  const T c = static_cast<T>(coeff);
-  const index_t panels = ceil_div(m, mr);
-  for (index_t p = 0; p < panels; ++p) {
+// Panels [p0, p1) of the packed A-tile into out (which holds panel p0).
+template <typename T, int MR>
+void pack_a_panels(const LinTermT<T>* terms, int num_terms, index_t lda,
+                   index_t m, index_t k, int mr, index_t p0, index_t p1,
+                   T* out) {
+  for (index_t p = p0; p < p1; ++p) {
     const index_t row0 = p * mr;
-    const index_t rows = std::min<index_t>(mr, m - row0);
-    const T* src = a + row0 * lda;
-    T* dst = out + p * mr * k;
+    pack_a_one_panel<T, MR>(terms, num_terms, lda, row0,
+                            std::min<index_t>(mr, m - row0), k, mr,
+                            out + (p - p0) * mr * k);
+  }
+}
+
+// Every registered kernel's tile height (kernel.cc) has an unrolled case.
+template <typename T>
+void pack_a_dispatch(const LinTermT<T>* terms, int num_terms, index_t lda,
+                     index_t m, index_t k, int mr, index_t p0, index_t p1,
+                     T* out) {
+  switch (mr) {
+    case 4:
+      return pack_a_panels<T, 4>(terms, num_terms, lda, m, k, mr, p0, p1, out);
+    case 6:
+      return pack_a_panels<T, 6>(terms, num_terms, lda, m, k, mr, p0, p1, out);
+    case 8:
+      return pack_a_panels<T, 8>(terms, num_terms, lda, m, k, mr, p0, p1, out);
+    case 12:
+      return pack_a_panels<T, 12>(terms, num_terms, lda, m, k, mr, p0, p1,
+                                  out);
+    default:
+      return pack_a_panels<T, 0>(terms, num_terms, lda, m, k, mr, p0, p1, out);
+  }
+}
+
+// One nr-wide B panel (row-major within the panel, zero-padded to nr
+// columns); NR as for pack_a_one_panel.
+template <typename T, int NR>
+void pack_b_one_panel(const LinTermT<T>* terms, int num_terms, index_t ldb,
+                      index_t col0, index_t cols, index_t k, int nr_rt,
+                      T* out_panel) {
+  const int nr = NR > 0 ? NR : nr_rt;
+  for (int t = 0; t < num_terms; ++t) {
+    const T* b = terms[t].ptr + col0;
+    const T c = static_cast<T>(terms[t].coeff);
     for (index_t kk = 0; kk < k; ++kk) {
-      for (index_t r = 0; r < rows; ++r) dst[kk * mr + r] = c * src[r * lda + kk];
-      for (index_t r = rows; r < mr; ++r) dst[kk * mr + r] = T(0);
+      const T* src = b + kk * ldb;
+      T* dst = out_panel + kk * nr;
+      if (t > 0) {
+        for (index_t j = 0; j < cols; ++j) dst[j] += c * src[j];
+      } else if (cols == nr) {
+        for (int j = 0; j < nr; ++j) dst[j] = c * src[j];
+      } else {
+        for (index_t j = 0; j < cols; ++j) dst[j] = c * src[j];
+        for (index_t j = cols; j < nr; ++j) dst[j] = T(0);
+      }
     }
   }
 }
@@ -67,57 +100,13 @@ void pack_a_one(const T* a, double coeff, index_t lda, index_t m,
 template <typename T>
 void pack_a(const LinTermT<T>* terms, int num_terms, index_t lda, index_t m,
             index_t k, int mr, T* out) {
-  if (num_terms == 1) {
-    pack_a_one<T>(terms[0].ptr, terms[0].coeff, lda, m, k, mr, out);
-    return;
-  }
-  // General case: accumulate the weighted sum while transposing into panels.
-  // The first term writes, the rest add; this keeps a single pass per term
-  // with unit-stride writes into the (cache-resident) packed buffer.
-  const index_t panels = ceil_div(m, mr);
-  for (int t = 0; t < num_terms; ++t) {
-    const T* a = terms[t].ptr;
-    const T c = static_cast<T>(terms[t].coeff);
-    for (index_t p = 0; p < panels; ++p) {
-      const index_t row0 = p * mr;
-      const index_t rows = std::min<index_t>(mr, m - row0);
-      const T* src = a + row0 * lda;
-      T* dst = out + p * mr * k;
-      if (t == 0) {
-        for (index_t kk = 0; kk < k; ++kk) {
-          for (index_t r = 0; r < rows; ++r) dst[kk * mr + r] = c * src[r * lda + kk];
-          for (index_t r = rows; r < mr; ++r) dst[kk * mr + r] = T(0);
-        }
-      } else {
-        for (index_t kk = 0; kk < k; ++kk) {
-          for (index_t r = 0; r < rows; ++r) dst[kk * mr + r] += c * src[r * lda + kk];
-        }
-      }
-    }
-  }
+  pack_a_dispatch<T>(terms, num_terms, lda, m, k, mr, 0, ceil_div(m, mr), out);
 }
 
 template <typename T>
 void pack_a_panel(const LinTermT<T>* terms, int num_terms, index_t lda,
                   index_t m, index_t k, int mr, index_t p, T* out_panel) {
-  const index_t row0 = p * mr;
-  const index_t rows = std::min<index_t>(mr, m - row0);
-  for (int t = 0; t < num_terms; ++t) {
-    const T* src = terms[t].ptr + row0 * lda;
-    const T c = static_cast<T>(terms[t].coeff);
-    if (t == 0) {
-      for (index_t kk = 0; kk < k; ++kk) {
-        for (index_t r = 0; r < rows; ++r)
-          out_panel[kk * mr + r] = c * src[r * lda + kk];
-        for (index_t r = rows; r < mr; ++r) out_panel[kk * mr + r] = T(0);
-      }
-    } else {
-      for (index_t kk = 0; kk < k; ++kk) {
-        for (index_t r = 0; r < rows; ++r)
-          out_panel[kk * mr + r] += c * src[r * lda + kk];
-      }
-    }
-  }
+  pack_a_dispatch<T>(terms, num_terms, lda, m, k, mr, p, p + 1, out_panel);
 }
 
 template <typename T>
@@ -125,42 +114,25 @@ void pack_b_panel(const LinTermT<T>* terms, int num_terms, index_t ldb,
                   index_t k, index_t n, int nr, index_t q, T* out_panel) {
   const index_t col0 = q * nr;
   const index_t cols = std::min<index_t>(nr, n - col0);
-  if (num_terms == 1) {
-    const T* b = terms[0].ptr + col0;
-    const T c = static_cast<T>(terms[0].coeff);
-    if (cols == nr) {
-      for (index_t kk = 0; kk < k; ++kk) {
-        const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * nr;
-        for (index_t j = 0; j < nr; ++j) dst[j] = c * src[j];
-      }
-    } else {
-      for (index_t kk = 0; kk < k; ++kk) {
-        const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * nr;
-        for (index_t j = 0; j < cols; ++j) dst[j] = c * src[j];
-        for (index_t j = cols; j < nr; ++j) dst[j] = T(0);
-      }
-    }
-    return;
-  }
-  for (int t = 0; t < num_terms; ++t) {
-    const T* b = terms[t].ptr + col0;
-    const T c = static_cast<T>(terms[t].coeff);
-    if (t == 0) {
-      for (index_t kk = 0; kk < k; ++kk) {
-        const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * nr;
-        for (index_t j = 0; j < cols; ++j) dst[j] = c * src[j];
-        for (index_t j = cols; j < nr; ++j) dst[j] = T(0);
-      }
-    } else {
-      for (index_t kk = 0; kk < k; ++kk) {
-        const T* src = b + kk * ldb;
-        T* dst = out_panel + kk * nr;
-        for (index_t j = 0; j < cols; ++j) dst[j] += c * src[j];
-      }
-    }
+  switch (nr) {
+    case 6:
+      return pack_b_one_panel<T, 6>(terms, num_terms, ldb, col0, cols, k, nr,
+                                    out_panel);
+    case 8:
+      return pack_b_one_panel<T, 8>(terms, num_terms, ldb, col0, cols, k, nr,
+                                    out_panel);
+    case 12:
+      return pack_b_one_panel<T, 12>(terms, num_terms, ldb, col0, cols, k, nr,
+                                     out_panel);
+    case 16:
+      return pack_b_one_panel<T, 16>(terms, num_terms, ldb, col0, cols, k, nr,
+                                     out_panel);
+    case 32:
+      return pack_b_one_panel<T, 32>(terms, num_terms, ldb, col0, cols, k, nr,
+                                     out_panel);
+    default:
+      return pack_b_one_panel<T, 0>(terms, num_terms, ldb, col0, cols, k, nr,
+                                    out_panel);
   }
 }
 

@@ -231,6 +231,63 @@ TEST(DeriveBlocking, ThinTileKernelGetsItsOwnDivisibleBlocking) {
   EXPECT_LE((4 + 12) * ab.kc * 8, 32 * kKiB);
 }
 
+TEST(DeriveBlocking, KcFillsTheL1WaysOfTheBMicroPanel) {
+  // Low et al.'s way split on a 48 KiB, 12-way L1d (4 KiB ways): one way
+  // for C, C_Ar = floor(11 / (1 + nR/mR)) ways for A, C_Br =
+  // ceil(C_Ar * nR / mR) ways for B, and k_C fills B's ways.
+  arch::CacheTopology topo = make_topology(48 * kKiB, 2 * kMiB, 32 * kMiB, 4);
+  topo.l1d_ways = 12;
+  KernelInfo k64{};
+  k64.dtype = DType::kF64;
+  k64.mr = 12;
+  k64.nr = 16;  // C_Ar = 4, C_Br = 6: 6 * 4096 / (16 * 8)
+  EXPECT_EQ(derive_blocking(k64, topo).kc, 192);
+  k64.mr = 6;
+  k64.nr = 8;  // C_Ar = 4, C_Br = 6: 6 * 4096 / (8 * 8)
+  EXPECT_EQ(derive_blocking(k64, topo).kc, 384);
+  KernelInfo k32{};
+  k32.dtype = DType::kF32;
+  k32.mr = 12;
+  k32.nr = 32;  // C_Ar = 3, C_Br = 8: 8 * 4096 / (32 * 4)
+  EXPECT_EQ(derive_blocking(k32, topo).kc, 256);
+  // Fewer ways leave B fewer of them: 8-way, same capacity.
+  topo.l1d_ways = 8;
+  k64.mr = 12;
+  k64.nr = 16;  // C_Ar = 3, C_Br = 4, 6 KiB ways: 4 * 6144 / 128
+  EXPECT_EQ(derive_blocking(k64, topo).kc, 192);
+}
+
+// --- The i_c split ----------------------------------------------------------
+
+TEST(EvenBlock, SplitsRowsEvenlyOnTheRegisterTile) {
+  // 1024 rows under m_C = 1020 split 516 + 508, not 1020 + 4.
+  EXPECT_EQ(even_block(1024, 1020, 12, 1), 516);
+  // A problem that fits one block keeps it whole.
+  EXPECT_EQ(even_block(1000, 1020, 12, 1), 1008);
+  EXPECT_EQ(even_block(1020, 1020, 12, 1), 1020);
+  // Three blocks: ceil(2100 / 3) = 700 -> 708 on the 12-row grid.
+  EXPECT_EQ(even_block(2100, 1020, 12, 1), 708);
+  // One block per thread when m has enough tiles (the thread shrink).
+  EXPECT_EQ(even_block(1024, 1020, 12, 4), 256 + 8);
+  // ... but never below one register tile.
+  EXPECT_EQ(even_block(30, 1020, 12, 8), 12);
+  EXPECT_EQ(even_block(1, 96, 8, 4), 8);
+  for (index_t m : {1, 7, 95, 96, 97, 1023, 1024, 4096, 5000}) {
+    for (int threads : {1, 3, 4}) {
+      const index_t mc = even_block(m, 96, 8, threads);
+      SCOPED_TRACE(std::to_string(m) + " rows, " + std::to_string(threads));
+      EXPECT_EQ(mc % 8, 0);
+      EXPECT_GE(mc, 8);
+      EXPECT_LE(mc, 96);
+      // Even blocks: the padding past m is under one register tile per
+      // block, however the split lands.
+      const index_t blocks = ceil_div(m, mc);
+      EXPECT_LE(blocks * mc - m, blocks * 8) << mc;
+      EXPECT_GE(blocks, ceil_div(m, 96));
+    }
+  }
+}
+
 // --- resolve_blocking: 0-means-auto and the override ladder ---------------
 
 TEST(ResolveBlocking, DefaultConfigIsAutoAndResolvesToDerivedValues) {

@@ -1,8 +1,9 @@
 // Kernel-registry tests: every registered micro-kernel must agree with the
 // generic reference kernel at its own register tile (including k = 0 and
 // large k), dispatch must honor the FMM_KERNEL override and fall back
-// sanely, and the epilogue must implement the multi-target weighted
-// scatter with a kernel-size-aware full/masked-tile split.
+// sanely, and every kernel's epilogue (its vector full-tile update plus
+// the masked edge loop) must implement the multi-target weighted scatter
+// on the row-major tile.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "src/core/task_driver.h"
 #include "src/gemm/gemm.h"
 #include "src/gemm/kernel.h"
+#include "src/gemm/pack.h"
 #include "src/linalg/matrix.h"
 #include "src/linalg/ops.h"
 #include "src/util/prng.h"
@@ -52,12 +54,14 @@ TEST(KernelRegistry, EntriesAreWellFormed) {
   for (const KernelInfo& k : kernel_registry()) {
     if (k.dtype == DType::kF64) {
       EXPECT_NE(k.fn, nullptr) << k.name;
+      EXPECT_NE(k.update, nullptr) << k.name;
       EXPECT_EQ(k.fn_f32, nullptr) << k.name;
       EXPECT_LE(k.mr, kMaxMR) << k.name;
       EXPECT_LE(k.nr, kMaxNR) << k.name;
     } else {
       EXPECT_EQ(k.fn, nullptr) << k.name;
       EXPECT_NE(k.fn_f32, nullptr) << k.name;
+      EXPECT_NE(k.update_f32, nullptr) << k.name;
       EXPECT_LE(k.mr, kMaxMRF32) << k.name;
       EXPECT_LE(k.nr, kMaxNRF32) << k.name;
     }
@@ -107,11 +111,8 @@ class KernelEquivalence
 TEST_P(KernelEquivalence, MatchesGenericReference) {
   const int kernel_idx = std::get<0>(GetParam());
   const index_t k = std::get<1>(GetParam());
-  const auto& reg = kernel_registry();
-  if (kernel_idx >= static_cast<int>(reg.size())) {
-    GTEST_SKIP() << "fewer than " << kernel_idx + 1 << " kernels registered";
-  }
-  const KernelInfo& kern = reg[static_cast<std::size_t>(kernel_idx)];
+  const KernelInfo& kern =
+      kernel_registry()[static_cast<std::size_t>(kernel_idx)];
   if (!kern.supported()) {
     GTEST_SKIP() << kern.name << " not supported by this CPU";
   }
@@ -143,9 +144,12 @@ TEST_P(KernelEquivalence, MatchesGenericReference) {
   }
 }
 
+// The sweep covers every registry entry: parameters are generated after
+// static initialization, when the registry is complete.
 INSTANTIATE_TEST_SUITE_P(
     AllKernelsKSweep, KernelEquivalence,
-    ::testing::Combine(::testing::Range(0, 8),
+    ::testing::Combine(::testing::Range(0, static_cast<int>(
+                                               kernel_registry().size())),
                        ::testing::Values(0, 1, 2, 3, 7, 8, 16, 17, 64, 255,
                                          256, 1000)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
@@ -170,7 +174,7 @@ TEST(KernelRegistry, PortableEntryIsMicrokernelPortable) {
 
 TEST(Kernel, ComputesOuterProductAccumulation) {
   // k=2 hand check on the portable 8x6 tile:
-  // acc[j*MR+r] = a0[r] b0[j] + a1[r] b1[j].
+  // acc[r*NR+j] = a0[r] b0[j] + a1[r] b1[j].
   constexpr int MR = 8, NR = 6;
   std::vector<double> a(2 * MR), b(2 * NR);
   for (int r = 0; r < MR; ++r) {
@@ -186,7 +190,7 @@ TEST(Kernel, ComputesOuterProductAccumulation) {
   for (int r = 0; r < MR; ++r) {
     for (int j = 0; j < NR; ++j) {
       const double want = (r + 1.0) * (j + 1.0) + 10.0 * (r + 1) * -(j + 1.0);
-      EXPECT_DOUBLE_EQ(acc[j * MR + r], want);
+      EXPECT_DOUBLE_EQ(acc[r * NR + j], want);
     }
   }
 }
@@ -268,18 +272,31 @@ TEST(KernelDispatch, EnvOverrideUnknownNameFallsBack) {
 }
 
 // --------------------------------------------------------------------------
-// Epilogue: weighted scatter with the kernel-size-aware masked split.
+// Epilogue: weighted scatter of the row-major tile, full-tile update vs
+// masked edge loop.
 // --------------------------------------------------------------------------
+
+const KernelInfo& portable_8x6() {
+  const KernelInfo* k = find_kernel("portable");
+  EXPECT_TRUE(k != nullptr && k->mr == 8 && k->nr == 6);
+  return *k;
+}
+
+const KernelInfo& portable_4x12() {
+  const KernelInfo* k = find_kernel("portable_4x12");
+  EXPECT_TRUE(k != nullptr && k->mr == 4 && k->nr == 12);
+  return *k;
+}
 
 TEST(Epilogue, SingleTargetFullBlock) {
   constexpr int MR = 8, NR = 6;
   alignas(64) double acc[MR * NR];
-  for (int j = 0; j < NR; ++j)
-    for (int r = 0; r < MR; ++r) acc[j * MR + r] = 100.0 * r + j;
+  for (int r = 0; r < MR; ++r)
+    for (int j = 0; j < NR; ++j) acc[r * NR + j] = 100.0 * r + j;
   Matrix c(MR, NR);
   c.fill(1.0);
   OutTerm t{c.data(), 1.0};
-  epilogue_update(&t, 1, c.stride(), MR, NR, acc, MR, NR);
+  epilogue_update(portable_8x6(), &t, 1, c.stride(), MR, NR, acc);
   for (int r = 0; r < MR; ++r)
     for (int j = 0; j < NR; ++j)
       EXPECT_DOUBLE_EQ(c(r, j), 1.0 + 100.0 * r + j);
@@ -292,7 +309,7 @@ TEST(Epilogue, MaskedEdgeBlockLeavesOutsideUntouched) {
   Matrix c(MR, NR);
   c.fill(0.0);
   OutTerm t{c.data(), 1.0};
-  epilogue_update(&t, 1, c.stride(), 3, 2, acc, MR, NR);
+  epilogue_update(portable_8x6(), &t, 1, c.stride(), 3, 2, acc);
   for (int r = 0; r < MR; ++r) {
     for (int j = 0; j < NR; ++j) {
       EXPECT_DOUBLE_EQ(c(r, j), (r < 3 && j < 2) ? 5.0 : 0.0);
@@ -301,40 +318,41 @@ TEST(Epilogue, MaskedEdgeBlockLeavesOutsideUntouched) {
 }
 
 TEST(Epilogue, FullTileSplitIsKernelSizeAware) {
-  // Regression for the old hard-coded 8x6 fast path: with a 4x12 kernel, a
-  // tile with full rows but masked columns (m_sub == mr, n_sub < nr) must
-  // take the masked path and leave the out-of-range columns untouched.
+  // A tile with full rows but masked columns (m_sub == mr, n_sub < nr)
+  // must take the masked path, read the tile at its own row width nr = 12,
+  // and leave the out-of-range columns untouched.
   constexpr int MR = 4, NR = 12;
   alignas(64) double acc[MR * NR];
-  for (auto& v : acc) v = 7.0;
+  for (int r = 0; r < MR; ++r)
+    for (int j = 0; j < NR; ++j) acc[r * NR + j] = 10.0 * r + j;
   Matrix c(MR, NR);
   c.fill(0.0);
   OutTerm t{c.data(), 1.0};
-  epilogue_update(&t, 1, c.stride(), MR, 5, acc, MR, NR);
+  epilogue_update(portable_4x12(), &t, 1, c.stride(), MR, 5, acc);
   for (int r = 0; r < MR; ++r) {
     for (int j = 0; j < NR; ++j) {
-      EXPECT_DOUBLE_EQ(c(r, j), j < 5 ? 7.0 : 0.0) << r << "," << j;
+      EXPECT_DOUBLE_EQ(c(r, j), j < 5 ? 10.0 * r + j : 0.0) << r << "," << j;
     }
   }
 }
 
 TEST(Epilogue, NonDefaultTileFullBlockAndMask) {
-  // The 4x12 tile end-to-end: full-tile fast path and row masking use the
-  // acc leading dimension mr = 4, not the historical 8.
+  // The 4x12 tile end-to-end: full-tile update and row masking both read
+  // the tile at row width nr = 12.
   constexpr int MR = 4, NR = 12;
   alignas(64) double acc[MR * NR];
-  for (int j = 0; j < NR; ++j)
-    for (int r = 0; r < MR; ++r) acc[j * MR + r] = 10.0 * r + j;
+  for (int r = 0; r < MR; ++r)
+    for (int j = 0; j < NR; ++j) acc[r * NR + j] = 10.0 * r + j;
   Matrix full = Matrix::zero(MR, NR);
   OutTerm tf{full.data(), 2.0};
-  epilogue_update(&tf, 1, full.stride(), MR, NR, acc, MR, NR);
+  epilogue_update(portable_4x12(), &tf, 1, full.stride(), MR, NR, acc);
   for (int r = 0; r < MR; ++r)
     for (int j = 0; j < NR; ++j)
       EXPECT_DOUBLE_EQ(full(r, j), 2.0 * (10.0 * r + j));
 
   Matrix masked = Matrix::zero(MR, NR);
   OutTerm tm{masked.data(), 1.0};
-  epilogue_update(&tm, 1, masked.stride(), 3, NR, acc, MR, NR);
+  epilogue_update(portable_4x12(), &tm, 1, masked.stride(), 3, NR, acc);
   for (int r = 0; r < MR; ++r)
     for (int j = 0; j < NR; ++j)
       EXPECT_DOUBLE_EQ(masked(r, j), r < 3 ? 10.0 * r + j : 0.0);
@@ -345,15 +363,15 @@ TEST(Epilogue, MultiTargetWeightedScatter) {
   // with different coefficients.
   constexpr int MR = 8, NR = 6;
   alignas(64) double acc[MR * NR];
-  for (auto& v : acc) v = 2.0;
+  for (int i = 0; i < MR * NR; ++i) acc[i] = i;
   Matrix c0 = Matrix::zero(MR, NR);
   Matrix c1 = Matrix::zero(MR, NR);
   Matrix c2 = Matrix::zero(MR, NR);
   OutTerm ts[3] = {{c0.data(), 1.0}, {c1.data(), -1.0}, {c2.data(), 0.5}};
-  epilogue_update(ts, 3, NR, MR, NR, acc, MR, NR);
-  EXPECT_DOUBLE_EQ(c0(4, 3), 2.0);
-  EXPECT_DOUBLE_EQ(c1(4, 3), -2.0);
-  EXPECT_DOUBLE_EQ(c2(4, 3), 1.0);
+  epilogue_update(portable_8x6(), ts, 3, NR, MR, NR, acc);
+  EXPECT_DOUBLE_EQ(c0(4, 3), 4.0 * NR + 3);
+  EXPECT_DOUBLE_EQ(c1(4, 3), -(4.0 * NR + 3));
+  EXPECT_DOUBLE_EQ(c2(4, 3), 0.5 * (4.0 * NR + 3));
 }
 
 TEST(Epilogue, AccumulatesOnRepeat) {
@@ -362,9 +380,10 @@ TEST(Epilogue, AccumulatesOnRepeat) {
   for (auto& v : acc) v = 1.0;
   Matrix c = Matrix::zero(MR, NR);
   OutTerm t{c.data(), 3.0};
-  epilogue_update(&t, 1, c.stride(), MR, NR, acc, MR, NR);
-  epilogue_update(&t, 1, c.stride(), MR, NR, acc, MR, NR);
+  epilogue_update(portable_8x6(), &t, 1, c.stride(), MR, NR, acc);
+  epilogue_update(portable_8x6(), &t, 1, c.stride(), MR, NR, acc);
   EXPECT_DOUBLE_EQ(c(0, 0), 6.0);
+  EXPECT_DOUBLE_EQ(c(MR - 1, NR - 1), 6.0);
 }
 
 TEST(Epilogue, OverwriteModeIgnoresPriorContents) {
@@ -374,10 +393,108 @@ TEST(Epilogue, OverwriteModeIgnoresPriorContents) {
   Matrix c(MR, NR);
   c.fill(123.0);
   OutTerm t{c.data(), 2.0};
-  epilogue_update(&t, 1, c.stride(), MR, NR, acc, MR, NR,
+  epilogue_update(portable_4x12(), &t, 1, c.stride(), MR, NR, acc,
                   /*accumulate=*/false);
   for (int r = 0; r < MR; ++r)
     for (int j = 0; j < NR; ++j) EXPECT_DOUBLE_EQ(c(r, j), 6.0);
+}
+
+// One epilogue case: the kernel's tile for an m_sub x n_sub block of A*B,
+// scattered into `weights.size()` targets of row stride ldc.
+struct EpilogueCase {
+  index_t m_sub, n_sub, ldc;
+  std::vector<double> weights;
+  bool accumulate;
+};
+
+// Packs random A (m_sub x k) and B (k x n_sub) for `kern`, runs its
+// micro-kernel and epilogue, and checks every target against ref_gemm.
+// Each target buffer ends exactly at element (m_sub-1, n_sub-1), so a
+// store past the block is a heap overflow under AddressSanitizer.
+template <typename T>
+void check_epilogue_case(const KernelInfo& kern, const EpilogueCase& ec,
+                         std::uint64_t seed) {
+  const index_t k = 37;
+  const index_t m = ec.m_sub, n = ec.n_sub, ldc = ec.ldc;
+  Xoshiro256 rng(seed);
+  std::vector<T> a(static_cast<std::size_t>(m * k));
+  std::vector<T> b(static_cast<std::size_t>(k * n));
+  for (auto& v : a) v = static_cast<T>(rng.uniform(-1, 1));
+  for (auto& v : b) v = static_cast<T>(rng.uniform(-1, 1));
+  std::vector<T> apack(static_cast<std::size_t>(kern.mr * k));
+  std::vector<T> bpack(static_cast<std::size_t>(kern.nr * k));
+  const LinTermT<T> at{a.data(), 1.0};
+  const LinTermT<T> bt{b.data(), 1.0};
+  pack_a<T>(&at, 1, k, m, k, kern.mr, apack.data());
+  pack_b<T>(&bt, 1, n, k, n, kern.nr, bpack.data());
+  alignas(64) T acc[kMaxAccElemsOf<T>];
+  kernel_fn<T>(kern)(k, apack.data(), bpack.data(), acc);
+
+  std::vector<T> prod(static_cast<std::size_t>(m * n), T(0));
+  ref_gemm(MatViewT<T>(prod.data(), m, n, n),
+           ConstMatViewT<T>(a.data(), m, k, k),
+           ConstMatViewT<T>(b.data(), k, n, n));
+
+  const std::size_t len = static_cast<std::size_t>((m - 1) * ldc + n);
+  std::vector<std::vector<T>> c;
+  std::vector<OutTermT<T>> targets;
+  c.reserve(ec.weights.size());
+  for (std::size_t t = 0; t < ec.weights.size(); ++t) {
+    c.emplace_back(len);
+    for (auto& v : c.back()) v = static_cast<T>(rng.uniform(-1, 1));
+  }
+  const std::vector<std::vector<T>> c0 = c;
+  for (std::size_t t = 0; t < c.size(); ++t)
+    targets.push_back({c[t].data(), ec.weights[t]});
+  epilogue_update(kern, targets.data(), static_cast<int>(targets.size()),
+                  ldc, m, n, acc, ec.accumulate);
+
+  const double tol = (kern.dtype == DType::kF32 ? 1e-5 : 1e-13) * k;
+  for (std::size_t t = 0; t < c.size(); ++t) {
+    const double w = ec.weights[t];
+    for (index_t i = 0; i < static_cast<index_t>(len); ++i) {
+      const index_t r = i / ldc, j = i % ldc;
+      const double before = static_cast<double>(c0[t][i]);
+      double want = before;  // the gap columns [n, ldc) stay untouched
+      if (j < n) {
+        const double p = w * static_cast<double>(prod[r * n + j]);
+        want = ec.accumulate ? before + p : p;
+      }
+      ASSERT_NEAR(static_cast<double>(c[t][i]), want, tol)
+          << kern.name << " " << dtype_name(kern.dtype) << " target " << t
+          << " (" << r << "," << j << ") m_sub=" << m << " n_sub=" << n
+          << " ldc=" << ldc << " accumulate=" << ec.accumulate;
+    }
+  }
+}
+
+TEST(Epilogue, EveryKernelMatchesRefGemm) {
+  std::uint64_t seed = 900;
+  for (const KernelInfo& kern : kernel_registry()) {
+    if (!kern.supported()) continue;
+    const index_t mr = kern.mr, nr = kern.nr;
+    const std::vector<EpilogueCase> cases = {
+        {mr, nr, nr, {1.0}, true},                 // full tile
+        {mr - 1, nr, nr, {1.0}, true},             // m_sub < mr
+        {mr, nr - 1, nr - 1, {1.0}, true},         // n_sub < nr
+        {1, 1, 1, {-1.0}, true},                   // single-element edge
+        {mr, nr, nr, {1.0, -1.0, 0.5}, true},      // multi-target weights
+        {mr - 1, nr - 2, nr, {1.0, -0.5}, true},   // multi-target edge
+        {mr, nr, nr, {2.0, -1.0}, false},          // overwrite, full tile
+        {mr - 1, nr - 1, nr, {-3.0}, false},       // overwrite, edge tile
+        {mr, nr, nr + 5, {1.0, 0.25}, true},       // ldc > n, full tile
+        {mr - 2, nr - 3, 3 * nr, {-1.0}, true},    // ldc > n, edge tile
+    };
+    for (const EpilogueCase& ec : cases) {
+      if (ec.m_sub < 1 || ec.n_sub < 1) continue;
+      SCOPED_TRACE(kern.name);
+      if (kern.dtype == DType::kF32) {
+        check_epilogue_case<float>(kern, ec, ++seed);
+      } else {
+        check_epilogue_case<double>(kern, ec, ++seed);
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 // Unit tests for the packing routines, including the fused linear
 // combinations that implement "Pack X + Y -> A~" of paper Fig. 1 (right).
 // Layouts are parameterized on the register tile (mr rows / nr cols per
-// panel); the historical 8x6 tile and the 4x12 alternative are both
-// exercised.
+// panel); the 8x6 and 4x12 tiles are exercised by hand, and the PackTile
+// suite repeats the round trips for every registered kernel's tile.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "src/gemm/kernel.h"
 #include "src/gemm/pack.h"
 #include "src/linalg/matrix.h"
+#include "src/util/prng.h"
 
 namespace fmm {
 namespace {
@@ -205,6 +207,83 @@ TEST(PackB, PanelApiMatchesFullPack) {
   }
   EXPECT_EQ(full, by_panel);
 }
+
+// --------------------------------------------------------------------------
+// Every registered kernel's tile, in the kernel's own element type: single-
+// and multi-term A and B packs against a direct unpack, and the per-panel
+// entry points against the whole-buffer ones.
+// --------------------------------------------------------------------------
+
+template <typename T>
+void check_tile_round_trips(int mr, int nr, std::uint64_t seed) {
+  // Two full panels plus a ragged one in each direction.
+  const index_t m = 2 * mr + mr / 2 + 1, n = 2 * nr + nr / 2 + 1, k = 19;
+  const index_t ld = std::max(m, n) + 3;
+  Xoshiro256 rng(seed);
+  std::vector<T> src(static_cast<std::size_t>(2 * ld * ld));
+  for (auto& v : src) v = static_cast<T>(rng.uniform(-1, 1));
+  const T* x = src.data();
+  const T* y = src.data() + ld * ld;
+  const double tol = sizeof(T) == 4 ? 1e-6 : 1e-15;
+  for (int terms = 1; terms <= 2; ++terms) {
+    const LinTermT<T> list[2] = {{x, 1.5}, {y, -0.5}};
+    auto want = [&](index_t i, index_t j) {
+      double v = 1.5 * x[i * ld + j];
+      if (terms == 2) v += -0.5 * y[i * ld + j];
+      return v;
+    };
+
+    const index_t a_panels = ceil_div(m, mr);
+    std::vector<T> a(static_cast<std::size_t>(a_panels * mr * k), T(-9));
+    std::vector<T> a_by_panel(a.size(), T(-9));
+    pack_a<T>(list, terms, ld, m, k, mr, a.data());
+    for (index_t p = 0; p < a_panels; ++p)
+      pack_a_panel<T>(list, terms, ld, m, k, mr, p,
+                      a_by_panel.data() + p * mr * k);
+    EXPECT_EQ(a, a_by_panel) << "mr=" << mr << " terms=" << terms;
+    for (index_t r = 0; r < a_panels * mr; ++r) {
+      for (index_t kk = 0; kk < k; ++kk) {
+        const double got = a[(r / mr) * mr * k + kk * mr + r % mr];
+        ASSERT_NEAR(got, r < m ? want(r, kk) : 0.0, tol)
+            << "A mr=" << mr << " terms=" << terms << " (" << r << "," << kk
+            << ")";
+      }
+    }
+
+    const index_t b_panels = ceil_div(n, nr);
+    std::vector<T> b(static_cast<std::size_t>(b_panels * nr * k), T(-9));
+    pack_b<T>(list, terms, ld, k, n, nr, b.data());
+    for (index_t kk = 0; kk < k; ++kk) {
+      for (index_t c = 0; c < b_panels * nr; ++c) {
+        const double got = b[(c / nr) * nr * k + kk * nr + c % nr];
+        ASSERT_NEAR(got, c < n ? want(kk, c) : 0.0, tol)
+            << "B nr=" << nr << " terms=" << terms << " (" << kk << "," << c
+            << ")";
+      }
+    }
+  }
+}
+
+class PackTile : public ::testing::TestWithParam<int> {};
+
+TEST_P(PackTile, RoundTripsAtTheKernelTile) {
+  const KernelInfo& kern =
+      kernel_registry()[static_cast<std::size_t>(GetParam())];
+  if (kern.dtype == DType::kF32) {
+    check_tile_round_trips<float>(kern.mr, kern.nr, 70 + GetParam());
+  } else {
+    check_tile_round_trips<double>(kern.mr, kern.nr, 70 + GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, PackTile,
+    ::testing::Range(0, static_cast<int>(kernel_registry().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      const KernelInfo& k =
+          kernel_registry()[static_cast<std::size_t>(info.param)];
+      return std::string(k.name) + "_" + dtype_name(k.dtype);
+    });
 
 }  // namespace
 }  // namespace fmm
