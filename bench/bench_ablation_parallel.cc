@@ -4,14 +4,17 @@
 // cores:
 //   * data-parallel ABC (the paper's scheme: parallel 3rd/2nd loop),
 //   * data-parallel Naive,
-//   * task-parallel (one task per product M_r, serial GEMM inside,
-//     per-C-block locks — the structure of Benson & Ballard [1]).
+//   * task-parallel: one recursive level (an Engine whose recurse_cutoff
+//     lets the one-level plan descend): one TaskPool task per product M_r,
+//     serial GEMM inside — the structure of Benson & Ballard [1].
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "src/core/task_driver.h"
+#include "src/core/engine.h"
 
 using namespace fmm;
 using namespace fmm::bench;
@@ -48,16 +51,20 @@ int main(int argc, char** argv) {
                                      s.k, cfg, opts.reps);
       const double t_naive = time_plan(make_plan({alg}, Variant::kNaive), s.m,
                                        s.n, s.k, cfg, opts.reps);
-      // Task-parallel timing.
+      // Task-parallel timing: the cutoff sits just below the problem.
       Matrix a = Matrix::random(s.m, s.k, 1);
       Matrix b = Matrix::random(s.k, s.n, 2);
       Matrix c = Matrix::zero(s.m, s.n);
-      TaskContext tctx;
-      const Plan tplan = make_plan({alg}, Variant::kNaive);
-      fmm_multiply_tasks(tplan, c.view(), a.view(), b.view(), tctx);
-      const double t_task = best_time_of(opts.reps, [&] {
-        fmm_multiply_tasks(tplan, c.view(), a.view(), b.view(), tctx);
-      });
+      Engine::Options eo;
+      eo.recurse_cutoff = std::min({s.m, s.n, s.k}) - 1;
+      Engine eng(eo);
+      const Plan tplan = make_plan({alg}, Variant::kABC);
+      auto task_run = [&] {
+        const Status st = eng.multiply(tplan, c.view(), a.view(), b.view());
+        if (!st.ok()) std::abort();
+      };
+      task_run();
+      const double t_task = best_time_of(opts.reps, task_run);
       const char* best = t_abc <= t_naive && t_abc <= t_task ? "data ABC"
                          : t_naive <= t_task                 ? "data Naive"
                                                              : "task";

@@ -205,6 +205,7 @@ void register_per_kernel_benchmarks() {
   // The dispatch defaults (what plain users get), at larger sizes/threads.
   benchmark::RegisterBenchmark("BM_Gemm/default", BM_Gemm, nullptr)
       ->Args({2048, 1})
+      ->Args({256, 0})
       ->Args({1024, 0})
       ->Args({2048, 0})
       ->Unit(benchmark::kMillisecond);

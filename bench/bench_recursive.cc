@@ -4,7 +4,7 @@
 //
 //   flat      — Engine with descent disabled: one FmmExecutor runs the
 //               whole two-level plan through the fused loop nest
-//               (OpenMP-parallel inside the multiply).
+//               (fork-join parallel inside the multiply).
 //   recursive — Engine with the cutoff pinned low enough that every bench
 //               size descends: fast-algorithm steps expand into TaskPool
 //               tasks, leaves run serial compiled executors / GEMMs.

@@ -232,11 +232,6 @@ std::size_t env_choice_capacity(std::size_t fallback) {
   return v.has_value() ? static_cast<std::size_t>(*v) : fallback;
 }
 
-int env_workers() {
-  // 0 = hardware concurrency (the TaskPool default).
-  return static_cast<int>(parse_env_long("FMM_WORKERS", 1, 4096).value_or(0));
-}
-
 std::uint64_t env_history_min() {
   constexpr std::uint64_t kDefault = PerfHistory::Tuning{}.min_observations;
   const std::optional<long> v = parse_env_long("FMM_HISTORY_MIN", 1, 1L << 30);
@@ -337,7 +332,7 @@ Engine::Engine(const Options& opts)
   }
 
   // Every knob: explicit Options > environment > default.
-  if (workers_ <= 0) workers_ = env_workers();
+  workers_ = TaskPool::resolve_workers(workers_);
   cap_total_ =
       opts.cache_capacity > 0 ? opts.cache_capacity : env_cache_capacity();
   int shards = opts.shards > 0 ? opts.shards : kDefaultShards;
@@ -457,7 +452,9 @@ std::shared_ptr<FmmExecutorT<T>> Engine::executor_for(const Plan& plan,
   if (obs::trace_enabled()) {
     obs::trace_instant("engine.cache.miss", "engine");
   }
-  auto exec = std::make_shared<FmmExecutorT<T>>(plan, m, n, k, cfg, slots_);
+  GemmConfig ecfg = cfg;  // threads resolved against this engine's pool
+  ecfg.num_threads = threads_for(cfg);
+  auto exec = std::make_shared<FmmExecutorT<T>>(plan, m, n, k, ecfg, slots_);
 
   // Observation hook, installed before the executor is published to the
   // cache (set_timing_hook is not synchronized against in-flight runs).
@@ -1134,7 +1131,7 @@ HistoryKey Engine::history_key(const Plan& plan, index_t m, index_t n,
   GemmConfig kcfg = cfg_;
   if (plan.kernel != nullptr) kcfg.kernel = plan.kernel;
   key.kernel = kernel_cache_key(*resolve_blocking(kcfg, plan.dtype).kernel);
-  key.threads = resolve_threads(cfg_);
+  key.threads = threads_for(cfg_);
   return key;
 }
 
@@ -1150,7 +1147,7 @@ HistoryKey Engine::gemm_key_for(index_t m, index_t n, index_t k,
   key.nb = shape_bucket(n);
   key.kb = shape_bucket(k);
   key.kernel = kernel_cache_key(*resolve_blocking(cfg, dtype).kernel);
-  key.threads = resolve_threads(cfg);
+  key.threads = threads_for(cfg);
   return key;
 }
 

@@ -212,9 +212,9 @@ class Engine {
     // Worker threads for the async submit path (multiply() is submit +
     // wait, so these serve the synchronous calls too).  0 = FMM_WORKERS
     // env, else hardware concurrency.  The pool is created lazily on first
-    // use; each task may additionally open its own OpenMP region of
-    // config.num_threads threads, so serving engines that fan out batches
-    // usually pair several workers with num_threads = 1.
+    // use.  A request's data parallelism forks up to config.num_threads
+    // participants (0 = every worker) from this same pool, so concurrent
+    // requests share the workers instead of oversubscribing the cores.
     int workers = 0;
     // Run the ~1 s model calibration in the constructor.  When false the
     // auto path uses literature-default parameters until calibrate().
@@ -421,7 +421,7 @@ class Engine {
   CacheStats stats() const;
   std::size_t cache_capacity() const { return cap_total_; }
   std::size_t choice_capacity() const { return choice_cap_; }
-  // Resolved async worker count (0 = pool default: hardware concurrency).
+  // Resolved worker count of the engine's pool.
   int workers() const { return workers_; }
   // Resolved task-recursive leaf cutoff (0 = descent disabled).
   index_t recurse_cutoff() const { return recurse_cutoff_; }
@@ -476,6 +476,10 @@ class Engine {
   // (the f32 key is dtype-salted and names the f32 kernel's cache key).
   HistoryKey gemm_key_for(index_t m, index_t n, index_t k,
                           const GemmConfig& cfg, DType dtype) const;
+  // cfg's thread cap resolved against this engine's pool (0 = workers_).
+  int threads_for(const GemmConfig& cfg) const {
+    return cfg.num_threads > 0 ? cfg.num_threads : workers_;
+  }
   // Records an auto-path gemm execution (the executor hook's twin for the
   // fallback that bypasses FmmExecutor).
   void record_gemm(index_t m, index_t n, index_t k, const GemmConfig& cfg,

@@ -6,10 +6,10 @@
 #include <cstdint>
 #include <thread>
 
+#include "src/core/task_pool.h"
 #include "src/gemm/kernel.h"
 #include "src/gemm/pack.h"
 #include "src/obs/trace.h"
-#include "src/util/omp_compat.h"
 #include "src/util/timer.h"
 
 namespace fmm {
@@ -17,23 +17,23 @@ namespace {
 
 // Parallel C_view += w * M over rows (the scatter of AB/Naive variants).
 template <typename T>
-void scaled_add(double w, ConstMatViewT<T> src, MatViewT<T> dst) {
+void scaled_add(int threads, double w, ConstMatViewT<T> src, MatViewT<T> dst) {
   const index_t rows = src.rows(), cols = src.cols();
   const T c = static_cast<T>(w);
-  FMM_PRAGMA_OMP(parallel for schedule(static))
-  for (index_t i = 0; i < rows; ++i) {
+  TaskPool::current().parallel_for(threads, rows, ceil_div(rows, threads),
+                                   [&](index_t i, int) {
     const T* s = src.row(i);
     T* d = dst.row(i);
     for (index_t j = 0; j < cols; ++j) d[j] += c * s[j];
-  }
+  });
 }
 
 // Parallel dst = Σ terms (the explicit operand sums of the Naive variant).
 template <typename T>
-void lin_comb(const LinTermT<T>* terms, int num_terms, index_t lds,
-              index_t rows, index_t cols, MatViewT<T> dst) {
-  FMM_PRAGMA_OMP(parallel for schedule(static))
-  for (index_t i = 0; i < rows; ++i) {
+void lin_comb(int threads, const LinTermT<T>* terms, int num_terms,
+              index_t lds, index_t rows, index_t cols, MatViewT<T> dst) {
+  TaskPool::current().parallel_for(threads, rows, ceil_div(rows, threads),
+                                   [&](index_t i, int) {
     T* d = dst.row(i);
     {
       const T* s = terms[0].ptr + i * lds;
@@ -45,7 +45,7 @@ void lin_comb(const LinTermT<T>* terms, int num_terms, index_t lds,
       const T c = static_cast<T>(terms[t].coeff);
       for (index_t j = 0; j < cols; ++j) d[j] += c * s[j];
     }
-  }
+  });
 }
 
 }  // namespace
@@ -343,7 +343,7 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
                             &m_out, 1, ns_, slot.ws, cfg,
                             /*accumulate=*/false);
           for (int p = 0; p < nc; ++p) {
-            scaled_add<T>(c_terms[p].coeff, m_view,
+            scaled_add<T>(cfg.num_threads, c_terms[p].coeff, m_view,
                           MatViewT<T>(c_terms[p].ptr, ms_, ns_, ldc));
           }
           break;
@@ -351,9 +351,9 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
         case Variant::kNaive: {
           // Explicit temporaries for the operand sums, then a plain GEMM
           // overwriting M_r.
-          lin_comb<T>(a_terms, na, lda, ms_, ks_,
+          lin_comb<T>(cfg.num_threads, a_terms, na, lda, ms_, ks_,
                       MatViewT<T>(slot.ta.data(), ms_, ks_, ks_));
-          lin_comb<T>(b_terms, nb, ldb, ks_, ns_,
+          lin_comb<T>(cfg.num_threads, b_terms, nb, ldb, ks_, ns_,
                       MatViewT<T>(slot.tb.data(), ks_, ns_, ns_));
           LinTermT<T> ta{slot.ta.data(), 1.0};
           LinTermT<T> tb{slot.tb.data(), 1.0};
@@ -361,7 +361,7 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
           fused_multiply<T>(ms_, ns_, ks_, &ta, 1, ks_, &tb, 1, ns_, &m_out,
                             1, ns_, slot.ws, cfg, /*accumulate=*/false);
           for (int p = 0; p < nc; ++p) {
-            scaled_add<T>(c_terms[p].coeff, m_view,
+            scaled_add<T>(cfg.num_threads, c_terms[p].coeff, m_view,
                           MatViewT<T>(c_terms[p].ptr, ms_, ns_, ldc));
           }
           break;
@@ -455,13 +455,8 @@ void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
   // parallelizes across r and items on its own.  One batch at a time may
   // own the shared panels; a concurrent caller falls through to the
   // generic paths below.
-  if (shared_b) {
-    std::unique_lock<std::mutex> lk(batch_mu_, std::try_to_lock);
-    if (lk.owns_lock()) {
-      run_batch_shared_b(acc, count);
-      return;
-    }
-  }
+  std::unique_lock<std::mutex> shared_lk(batch_mu_, std::defer_lock);
+  const bool prepacked = shared_b && shared_lk.try_lock();
 
   // Small-shape criterion, shared with the fused driver's mode switch:
   // when one multiply yields fewer i_c blocks than threads, internal data
@@ -471,7 +466,7 @@ void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
   // with no interior are all peel, which sees m_.
   const index_t rows_seen = m1_ > 0 ? ms_ : std::max<index_t>(m_, 1);
   const bool item_parallel = nth_ > 1 && ceil_div(rows_seen, bp_.mc) < nth_;
-  if (!item_parallel) {
+  if (!prepacked && !item_parallel) {
     for (std::size_t i = 0; i < count; ++i) {
       const BatchItemT<T> it = acc.at(i);
       // Unobserved: the enclosing batch reports one aggregate observation.
@@ -480,76 +475,51 @@ void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
     return;
   }
 
-  // Generic item-parallel path: a manual work queue instead of an OMP for,
-  // so a worker that cannot lease a slot (concurrent callers hold them)
-  // idles instead of deadlocking a worksharing barrier.  The encountering
-  // thread leases its slot *blocking*, which guarantees progress.
+  // nth_ lanes drain one item queue, each on its own slot lease.  A lane
+  // that cannot lease a slot (concurrent callers hold them) idles; lane 0,
+  // claimed first, uses the slot the caller leased *blocking*, which
+  // guarantees progress.  Prepacked, lane 0 first packs the per-r B~
+  // panels in r order, publishing each through panels_ready; the other
+  // lanes consume items at once, each item's r loop waiting only for its
+  // panel.  Items still walk r in order, so results stay bitwise identical
+  // to run().
   Slot* mine = acquire_slot();
+  std::atomic<int> panels_ready{0};
   std::atomic<std::int64_t> next{0};
   const std::int64_t total = static_cast<std::int64_t>(count);
-  FMM_PRAGMA_OMP(parallel num_threads(nth_))
-  {
-    Slot* s = omp_get_thread_num() == 0 ? mine : try_acquire_slot();
-    if (s != nullptr) {
-      for (std::int64_t i = next.fetch_add(1); i < total;
-           i = next.fetch_add(1)) {
-        const BatchItemT<T> it = acc.at(static_cast<std::size_t>(i));
+  TaskPool::current().parallel_for(nth_, nth_, 1, [&](index_t lane, int) {
+    Slot* s = lane == 0 ? mine : try_acquire_slot();
+    if (prepacked && lane == 0) pack_shared_b(*s, acc.at(0).b, panels_ready);
+    if (s == nullptr) return;
+    for (std::int64_t i = next.fetch_add(1); i < total;
+         i = next.fetch_add(1)) {
+      const BatchItemT<T> it = acc.at(static_cast<std::size_t>(i));
+      if (prepacked) {
+        run_item_prepacked(*s, it, panels_ready);
+      } else {
         run_on_slot(*s, it.c, it.a, it.b, serial_cfg_);
       }
-      if (s != mine) release_slot(s);
     }
-  }
+    if (s != mine) release_slot(s);
+  });
   release_slot(mine);
 }
 
 template <typename T>
-void FmmExecutorT<T>::run_batch_shared_b(const BatchAccess& acc,
-                                         std::size_t count) {
-  const ConstMatViewT<T> b = acc.at(0).b;
+void FmmExecutorT<T>::pack_shared_b(Slot& slot, ConstMatViewT<T> b,
+                                    std::atomic<int>& panels_ready) {
   const index_t ldb = b.stride();
-  const int R = plan_.R();
-  const int nr = bp_.nr;
-  T* bpack = shared_b_.data();
-
-  Slot* mine = acquire_slot();
-  // Packing overlaps compute: thread 0 packs the per-r B~ panels *in r
-  // order*, publishing each through panels_ready (release), then joins the
-  // item loop; the other threads start consuming items immediately and
-  // wait (acquire) only for the specific panel their item's r loop has
-  // reached.  Each item still walks r = 0..R-1 in order — the per-item
-  // accumulation order is what makes results bitwise identical to run() —
-  // so publishing panels in that same order means a compute thread is only
-  // ever gated on the panel the packer is currently producing.  With one
-  // thread this degenerates to pack-everything-then-compute.
-  std::atomic<int> panels_ready{0};
-  std::atomic<std::int64_t> next_item{0};
-  const std::int64_t total = static_cast<std::int64_t>(count);
-  FMM_PRAGMA_OMP(parallel num_threads(nth_))
-  {
-    Slot* s = omp_get_thread_num() == 0 ? mine : try_acquire_slot();
-    if (omp_get_thread_num() == 0) {
-      for (int r = 0; r < R; ++r) {
-        const int nb = b_ofs_[r + 1] - b_ofs_[r];
-        for (int j = 0; j < nb; ++j) {
-          const TermRef& t = b_refs_[static_cast<std::size_t>(b_ofs_[r] + j)];
-          s->b_terms[static_cast<std::size_t>(j)] = {
-              b.data() + t.row * ldb + t.col, t.coeff};
-        }
-        pack_b<T>(s->b_terms.data(), nb, ldb, ks_, ns_, nr,
-                  bpack + r * shared_b_panel_elems_);
-        panels_ready.store(r + 1, std::memory_order_release);
-      }
+  for (int r = 0; r < plan_.R(); ++r) {
+    const int nb = b_ofs_[r + 1] - b_ofs_[r];
+    for (int j = 0; j < nb; ++j) {
+      const TermRef& t = b_refs_[static_cast<std::size_t>(b_ofs_[r] + j)];
+      slot.b_terms[static_cast<std::size_t>(j)] = {
+          b.data() + t.row * ldb + t.col, t.coeff};
     }
-    if (s != nullptr) {
-      for (std::int64_t i = next_item.fetch_add(1); i < total;
-           i = next_item.fetch_add(1)) {
-        run_item_prepacked(*s, acc.at(static_cast<std::size_t>(i)),
-                           panels_ready);
-      }
-      if (s != mine) release_slot(s);
-    }
+    pack_b<T>(slot.b_terms.data(), nb, ldb, ks_, ns_, bp_.nr,
+              shared_b_.data() + r * shared_b_panel_elems_);
+    panels_ready.store(r + 1, std::memory_order_release);
   }
-  release_slot(mine);
 }
 
 // One item of a shared-B batch: the serial ABC interior against the per-r

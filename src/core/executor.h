@@ -247,10 +247,11 @@ class FmmExecutorT {
                    ConstMatViewT<T> b, const GemmConfig& cfg);
   void run_batch_impl(const BatchAccess& acc, std::size_t count,
                       bool shared_b);
-  // Shared-B fast path with pack/compute overlap: one thread packs the
+  // Shared-B fast path with pack/compute overlap: one lane packs the
   // per-r B~ panels in order, publishing each through an atomic watermark;
   // the others consume items, gating each item's r step on that watermark.
-  void run_batch_shared_b(const BatchAccess& acc, std::size_t count);
+  void pack_shared_b(Slot& slot, ConstMatViewT<T> b,
+                     std::atomic<int>& panels_ready);
   void run_item_prepacked(Slot& slot, const BatchItemT<T>& item,
                           const std::atomic<int>& panels_ready);
 

@@ -6,17 +6,44 @@
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/env.h"
 
 namespace fmm {
 namespace {
 
-thread_local const TaskPool* tls_pool = nullptr;
+thread_local TaskPool* tls_pool = nullptr;
 thread_local int tls_worker_index = -1;
+
+// A thread that blocks costs a futex wake, tens of microseconds, before it
+// works again, so a thread out of work polls first, yielding its core
+// between polls: a pool worker between tasks (bridging back-to-back
+// requests), and longer a team member between two loops, whose wait is
+// one loop's load imbalance.
+constexpr std::uint64_t kIdleSpinNs = 100'000;
+constexpr std::uint64_t kTeamSpinNs = 2'000'000;
+
+// Polls `ready` for up to `budget_ns`; true if it turned true.
+template <typename Ready>
+bool spin_until(std::uint64_t budget_ns, Ready&& ready) {
+  for (const std::uint64_t t0 = obs::now_ns(); !ready();) {
+    if (obs::now_ns() - t0 > budget_ns) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Locks `lk`, polling try_lock first: the pool's critical sections are
+// short, and a thread put to sleep on one wakes long after its release.
+void lock_spinning(std::unique_lock<std::mutex>& lk) {
+  for (int i = 0; i < 64 && !lk.try_lock(); ++i) std::this_thread::yield();
+  if (!lk.owns_lock()) lk.lock();
+}
 
 }  // namespace
 
@@ -97,6 +124,11 @@ struct TaskPool::Impl {
   std::condition_variable work_cv;  // workers: ready task or stop
   std::condition_variable done_cv;  // wait_all / wait(tag)
   bool stop = false;
+  std::atomic<std::size_t> ready_size{0};  // ready.size(), polled unlocked
+  // Idle workers spinning outside the lock.  Each takes the lock again and
+  // pops a task if one is left, so a submit wakes a sleeper only when the
+  // ready tasks outnumber them.
+  int spinning = 0;
   std::uint64_t next_seq = 0;
   std::uint64_t outstanding = 0;  // submitted, not yet finished/cancelled
   std::vector<std::shared_ptr<Task>> ready;  // max-heap (priority, FIFO)
@@ -126,12 +158,14 @@ struct TaskPool::Impl {
     }
     ready.push_back(std::move(t));
     std::push_heap(ready.begin(), ready.end(), heap_less);
+    ready_size.store(ready.size(), std::memory_order_relaxed);
   }
 
   std::shared_ptr<Task> pop_ready_locked() {
     std::pop_heap(ready.begin(), ready.end(), heap_less);
     std::shared_ptr<Task> t = std::move(ready.back());
     ready.pop_back();
+    ready_size.store(ready.size(), std::memory_order_relaxed);
     return t;
   }
 };
@@ -157,6 +191,21 @@ TaskPool::~TaskPool() {
 }
 
 bool TaskPool::on_worker_thread() { return tls_pool != nullptr; }
+
+int TaskPool::resolve_workers(int requested) {
+  if (requested > 0) return requested;
+  const long env = parse_env_long("FMM_WORKERS", 1, 4096).value_or(0);
+  if (env > 0) return static_cast<int>(env);
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+TaskPool& TaskPool::current() {
+  if (tls_pool != nullptr) return *tls_pool;
+  // Never destroyed, like default_engine(): a region may still be running
+  // on a host thread at static teardown.
+  static TaskPool* pool = new TaskPool(resolve_workers(0));
+  return *pool;
+}
 
 int TaskPool::current_worker_index() { return tls_worker_index; }
 
@@ -189,8 +238,10 @@ TaskFuture TaskPool::submit_impl(std::function<Status()> fn,
   // recording — the hot path carries no extra allocation otherwise.
   if (obs::trace_enabled() && !opts.deps.empty()) task->trace_deps = opts.deps;
 
+  bool wake = false;
   {
-    std::lock_guard<std::mutex> lk(impl_->mu);
+    std::unique_lock<std::mutex> lk(impl_->mu, std::defer_lock);
+    lock_spinning(lk);
     task->seq = impl_->next_seq++;
     ++impl_->outstanding;
     for (TaskTag dep : opts.deps) {
@@ -200,9 +251,12 @@ TaskFuture TaskPool::submit_impl(std::function<Status()> fn,
         ++task->remaining_deps;
       }
     }
-    if (task->remaining_deps == 0) impl_->push_ready_locked(std::move(task));
+    if (task->remaining_deps == 0) {
+      impl_->push_ready_locked(std::move(task));
+      wake = impl_->ready.size() > static_cast<std::size_t>(impl_->spinning);
+    }
   }
-  impl_->work_cv.notify_one();
+  if (wake) impl_->work_cv.notify_one();
   return future;
 }
 
@@ -219,8 +273,15 @@ void TaskPool::worker_loop(int index) {
     // An idle gap is a span too: it is the signal "the graph starved this
     // worker", which a run-spans-only trace cannot show.
     std::uint64_t idle_start = 0;
-    if (obs::trace_enabled() && impl_->ready.empty() && !impl_->stop) {
-      idle_start = obs::now_ns();
+    if (impl_->ready.empty() && !impl_->stop) {
+      if (obs::trace_enabled()) idle_start = obs::now_ns();
+      ++impl_->spinning;
+      lk.unlock();
+      spin_until(kIdleSpinNs, [&] {
+        return impl_->ready_size.load(std::memory_order_relaxed) != 0;
+      });
+      lock_spinning(lk);
+      --impl_->spinning;
     }
     impl_->work_cv.wait(lk, [&] { return impl_->stop || !impl_->ready.empty(); });
     if (idle_start != 0 && obs::trace_enabled()) {
@@ -288,7 +349,7 @@ void TaskPool::worker_loop(int index) {
     // that blocks cannot stall the graph.
     task->state->resolve(status);
 
-    lk.lock();
+    lock_spinning(lk);
     if (task->tag != kNoTag) {
       TagState& ts = impl_->tags[task->tag];
       assert(!ts.done && "two tasks completed the same tag");
@@ -303,11 +364,11 @@ void TaskPool::worker_loop(int index) {
       ts.waiters.clear();
       if (released) impl_->work_cv.notify_all();
     }
-    lk.unlock();
-
-    if (task->on_complete) task->on_complete(status);
-
-    lk.lock();
+    if (task->on_complete) {
+      lk.unlock();
+      task->on_complete(status);
+      lock_spinning(lk);
+    }
     --impl_->outstanding;
     impl_->done_cv.notify_all();
   }
@@ -339,6 +400,7 @@ void TaskPool::cancel_pending() {
       cancelled.push_back(std::move(t));
     }
     impl_->ready.clear();
+    impl_->ready_size.store(0, std::memory_order_relaxed);
     for (auto& [tag, ts] : impl_->tags) {
       for (std::shared_ptr<Task>& t : ts.waiters) {
         cancelled.push_back(std::move(t));
@@ -356,6 +418,112 @@ void TaskPool::cancel_pending() {
   for (const std::shared_ptr<Task>& t : cancelled) {
     t->state->resolve(Status::error(StatusCode::kCancelled, "task cancelled"));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fork-join teams.  The caller publishes one loop at a time as a Job;
+// participants claim chunks with a fetch_add on its counter.  A claimed
+// chunk keeps the caller waiting, so its loop body (on the caller's stack)
+// is alive; a helper holding a finished Job claims nothing.
+// ---------------------------------------------------------------------------
+
+struct ParallelTeam::State {
+  struct Job {
+    Loop loop;
+    std::int64_t n, grain, chunks;
+    std::atomic<std::int64_t> next{0}, done{0};
+  };
+
+  std::atomic<int> next_tid{1};  // helpers' ids follow the caller's 0
+  std::atomic<std::uint64_t> jobs{0};  // loops published so far
+  std::atomic<bool> closed{false};
+  std::mutex mu;
+  std::shared_ptr<Job> job;  // the current loop (guarded by mu)
+  std::condition_variable work_cv;  // helpers: a new loop, or closed
+  std::condition_variable done_cv;  // caller: the loop finished
+
+  void drain(Job& j, int tid) {
+    for (std::int64_t q; (q = j.next.fetch_add(1)) < j.chunks;) {
+      j.loop.run(j.loop.fn, q * j.grain, std::min((q + 1) * j.grain, j.n), tid);
+      if (j.done.fetch_add(1) + 1 == j.chunks) {
+        // Under the lock the caller re-checks `done` under: no lost wake-up.
+        std::lock_guard<std::mutex> lk(mu);
+        done_cv.notify_all();
+      }
+    }
+  }
+
+  // A helper's life: take an id, then serve loops until the team closes.
+  void help() {
+    const int tid = next_tid.fetch_add(1);
+    for (std::uint64_t seen = 0;;) {
+      auto fresh = [&] { return closed.load() || jobs.load() != seen; };
+      const bool hot = spin_until(kTeamSpinNs, fresh);
+      std::unique_lock<std::mutex> lk(mu, std::defer_lock);
+      lock_spinning(lk);
+      if (!hot) work_cv.wait(lk, fresh);
+      if (closed.load()) return;
+      seen = jobs.load();
+      const std::shared_ptr<Job> j = job;
+      lk.unlock();
+      drain(*j, tid);
+    }
+  }
+};
+
+void ParallelTeam::run_loop(const Loop& l, std::int64_t n, std::int64_t grain) {
+  if (n <= 0) return;
+  State& st = *state_;
+  grain = std::max<std::int64_t>(grain, 1);
+  const std::shared_ptr<State::Job> j(
+      new State::Job{l, n, grain, (n + grain - 1) / grain});
+  {
+    std::lock_guard<std::mutex> lk(st.mu);
+    st.job = j;
+    st.jobs.fetch_add(1);
+    st.work_cv.notify_all();
+  }
+  st.drain(*j, 0);
+  // The barrier: the caller drained what helpers did not claim.
+  auto finished = [&] { return j->done.load() == j->chunks; };
+  if (!spin_until(kTeamSpinNs, finished)) {
+    std::unique_lock<std::mutex> lk(st.mu);
+    st.done_cv.wait(lk, finished);
+  }
+}
+
+std::shared_ptr<ParallelTeam::State> TaskPool::fork_team(
+    int cap, std::int64_t max_chunks) {
+  const int want = static_cast<int>(std::min<std::int64_t>(
+      {cap > 0 ? cap : workers(), workers(), max_chunks}));
+  if (want <= 1) return nullptr;
+  auto st = std::make_shared<ParallelTeam::State>();
+  // Helpers jump the queue, all under one lock so the caller does not
+  // contend with the workers picking them up.
+  std::unique_lock<std::mutex> lk(impl_->mu, std::defer_lock);
+  lock_spinning(lk);
+  for (int h = 1; h < want; ++h) {
+    auto task = std::make_shared<Task>();
+    task->fn = [st] { return st->help(), Status{}; };
+    task->priority = std::numeric_limits<int>::max();
+    task->state = std::make_shared<TaskFuture::State>();
+    task->seq = impl_->next_seq++;
+    ++impl_->outstanding;
+    impl_->push_ready_locked(std::move(task));
+  }
+  const int wake = static_cast<int>(impl_->ready.size()) - impl_->spinning;
+  lk.unlock();
+  for (int i = 0; i < std::min(wake, want - 1); ++i) {
+    impl_->work_cv.notify_one();
+  }
+  return st;
+}
+
+void TaskPool::join_team(const std::shared_ptr<ParallelTeam::State>& st) {
+  if (st == nullptr) return;
+  std::lock_guard<std::mutex> lk(st->mu);
+  st->closed.store(true);
+  st->work_cv.notify_all();
 }
 
 }  // namespace fmm

@@ -9,14 +9,13 @@
 // optional identity **tag**, a list of tags it **depends** on, a
 // **priority**, and an optional completion **callback**.  Tasks whose
 // dependencies are met sit in a priority FIFO (higher priority first,
-// submission order breaking ties); a fixed set of worker threads —
-// plain std::threads, deliberately independent of any OpenMP region, so a
-// task body is free to open its own parallel region — drains it.  When a
-// task finishes, its TaskFuture resolves first, then its tag is marked
-// complete and successor tasks whose last dependency that was are
-// released (a dependent task always observes its dependency's future
-// done), and finally its callback runs on the worker (callbacks may
-// submit follow-up tasks: that is how a dataflow pipeline advances).
+// submission order breaking ties); a fixed set of plain std::thread
+// workers drains it.  When a task finishes, its TaskFuture resolves first,
+// then its tag is marked complete and successor tasks whose last
+// dependency that was are released (a dependent task always observes its
+// dependency's future done), and finally its callback runs on the worker
+// (callbacks may submit follow-up tasks: that is how a dataflow pipeline
+// advances).
 //
 // Dependency rules:
 //   * A dependency on a tag that already completed is satisfied
@@ -33,6 +32,15 @@
 // complete — cancellation abandons the rest of the graph); tasks already
 // executing run to completion.  The destructor wait_all()s then joins —
 // destroying a pool with tasks in flight is safe and drains them.
+//
+// Fork-join, the library's only intra-multiply parallelism (the BLIS loops
+// around the micro-kernel, paper §5.1): parallel_region() runs a body on
+// the calling thread as participant 0 of a team whose helpers are tasks of
+// the same pool; ParallelTeam::for_each() shares one loop among the team.
+// The caller never waits for a helper to *start*, only for claimed chunks
+// to *finish*, so a region opened on a worker of a saturated pool runs
+// serially instead of deadlocking; a helper that starts after the region
+// closed touches only the team's reference-counted state.
 
 #include <cstdint>
 #include <functional>
@@ -88,6 +96,39 @@ class TaskFuture {
   std::shared_ptr<State> state_;
 };
 
+// A fork-join team (see above).  Only the region's caller calls for_each.
+class ParallelTeam {
+ public:
+  // Runs fn(i, tid) for every i in [0, n), in chunks of `grain` indices
+  // that the participants claim dynamically, and returns once every chunk
+  // has finished: that completion count is the barrier between two loops.
+  // `tid` is distinct among concurrently running participants and below
+  // the region's cap, so it can index per-participant workspace.  fn must
+  // not throw.
+  template <typename F>
+  void for_each(std::int64_t n, std::int64_t grain, F&& fn) {
+    if (state_ == nullptr) {
+      for (std::int64_t i = 0; i < n; ++i) fn(i, 0);
+      return;
+    }
+    using Fn = std::remove_reference_t<F>;
+    const Loop loop{const_cast<void*>(static_cast<const void*>(&fn)),
+                    [](void* f, std::int64_t i, std::int64_t end, int tid) {
+                      for (; i < end; ++i) (*static_cast<Fn*>(f))(i, tid);
+                    }};
+    run_loop(loop, n, grain);
+  }
+
+ private:
+  friend class TaskPool;
+  using Run = void (*)(void*, std::int64_t, std::int64_t, int);
+  struct Loop { void* fn; Run run; };
+  struct State;
+  void run_loop(const Loop& loop, std::int64_t n, std::int64_t grain);
+
+  std::shared_ptr<State> state_;  // null: a serial team
+};
+
 class TaskPool {
  public:
   // `workers` threads; 0 = hardware concurrency (at least 1).
@@ -137,6 +178,36 @@ class TaskPool {
 
   int workers() const { return static_cast<int>(threads_.size()); }
 
+  // Opens a fork-join region: body(team) runs on the calling thread, with
+  // up to min(cap, workers(), max_chunks) participants including the
+  // caller (cap <= 0 means workers()).  Helpers are forked once, up front,
+  // and leave when the body returns.
+  template <typename Body>
+  void parallel_region(int cap, std::int64_t max_chunks, Body&& body) {
+    ParallelTeam team;
+    team.state_ = fork_team(cap, max_chunks);
+    struct Join {
+      ParallelTeam& t;
+      ~Join() { join_team(t.state_); }
+    } join{team};
+    body(team);
+  }
+
+  template <typename F>  // a region with one loop
+  void parallel_for(int cap, std::int64_t n, std::int64_t grain, F&& fn) {
+    const std::int64_t g = grain > 0 ? grain : 1;
+    parallel_region(cap, (n + g - 1) / g, [&](ParallelTeam& team) {
+      team.for_each(n, g, fn);
+    });
+  }
+
+  // The pool a region opened on this thread uses: the calling worker's own
+  // pool, else the process-default pool, created on first use with
+  // resolve_workers(0) workers and never destroyed.
+  static TaskPool& current();
+  // `requested` if positive, else FMM_WORKERS, else hardware concurrency.
+  static int resolve_workers(int requested);
+
   // True when the calling thread is a worker of *any* TaskPool — the
   // engine uses this to execute nested synchronous multiplies inline
   // instead of submitting (a task blocking on another task's future could
@@ -152,6 +223,9 @@ class TaskPool {
   struct Impl;
 
   TaskFuture submit_impl(std::function<Status()> fn, TaskOptions opts);
+  std::shared_ptr<ParallelTeam::State> fork_team(int cap,
+                                                 std::int64_t max_chunks);
+  static void join_team(const std::shared_ptr<ParallelTeam::State>& st);
   void worker_loop(int index);
 
   std::unique_ptr<Impl> impl_;

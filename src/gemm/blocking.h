@@ -28,7 +28,8 @@ struct GemmConfig {
   int kc = 0;  // shared inner dimension of both packed buffers
   int nc = 0;  // cols of the packed B-panel (rounded up to a multiple of nR)
 
-  // 0 means "use omp_get_max_threads()".
+  // Cap on the participants of one multiply's fork-join team; 0 means the
+  // worker count of the pool it runs on (see resolve_threads, fused.h).
   int num_threads = 0;
 
   // Micro-kernel for this configuration; nullptr means active_kernel()

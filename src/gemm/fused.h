@@ -13,9 +13,11 @@
 // apples-to-apples.
 //
 // Parallelism mirrors the paper (§5.1, citing Smith et al. IPDPS'14):
-// OpenMP data parallelism over the 3rd loop around the micro-kernel (the
-// i_c loop), with cooperative packing of the shared B~ panel and a
-// per-thread A~ tile.
+// data parallelism over the 3rd loop around the micro-kernel (the i_c
+// loop), with cooperative packing of the shared B~ panel and a
+// per-participant A~ tile.  The participants are one fork-join team on the
+// TaskPool (task_pool.h), forked once per call: the calling worker's pool
+// on a pool worker, the process-default pool on any other thread.
 //
 // The element type is a template parameter with explicit double/float
 // instantiations in fused.cc (the dtype travels at runtime in the kernel —
@@ -53,7 +55,6 @@ class GemmWorkspaceT {
   T* b_packed() { return b_packed_.data(); }
   T* a_tile(int thread) { return a_tiles_[thread].data(); }
   TermScratch& terms(int thread) { return term_scratch_[thread]; }
-  int num_threads() const { return static_cast<int>(a_tiles_.size()); }
 
  private:
   AlignedBuffer<T> b_packed_;                  // kc x nc
@@ -67,7 +68,9 @@ extern template class GemmWorkspaceT<float>;
 using GemmWorkspace = GemmWorkspaceT<double>;
 using GemmWorkspaceF32 = GemmWorkspaceT<float>;
 
-// Resolves cfg.num_threads (0 -> omp_get_max_threads()).
+// Resolves cfg.num_threads, the cap on a call's participants (0: the
+// worker count of TaskPool::current()).  The cap alone decides how m is
+// split, so results never depend on how many helpers arrive.
 int resolve_threads(const GemmConfig& cfg);
 
 // With accumulate == true (the default), every target receives

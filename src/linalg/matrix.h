@@ -2,7 +2,7 @@
 
 // Owning row-major matrix with cache-line-aligned storage.
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/linalg/mat_view.h"
 #include "src/util/aligned_buffer.h"
@@ -28,8 +28,8 @@ class Matrix {
   // out of the benchmark harness.
   Matrix clone() const {
     Matrix out(rows_, cols_, stride_);
-    std::memcpy(out.data(), data(),
-                static_cast<std::size_t>(rows_ * stride_) * sizeof(double));
+    // copy_n, not memcpy: an empty matrix has a null buffer.
+    std::copy_n(data(), rows_ * stride_, out.data());
     return out;
   }
 
@@ -47,9 +47,7 @@ class Matrix {
   ConstMatView view() const { return ConstMatView(data(), rows_, cols_, stride_); }
   ConstMatView cview() const { return view(); }
 
-  void set_zero() {
-    std::memset(data(), 0, static_cast<std::size_t>(rows_ * stride_) * sizeof(double));
-  }
+  void set_zero() { std::fill_n(data(), rows_ * stride_, 0.0); }
 
   void fill(double v) {
     for (index_t i = 0; i < rows_; ++i)

@@ -14,7 +14,6 @@
 
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
-#include "src/core/task_driver.h"
 #include "src/gemm/gemm.h"
 #include "src/gemm/kernel.h"
 #include "src/gemm/pack.h"
@@ -522,9 +521,8 @@ TEST(KernelRegistry, EveryKernelProducesSameGemmResult) {
 }
 
 TEST(KernelRegistry, PlanKernelHonoredByBothDrivers) {
-  // Plan::kernel must reach the fused loops through the data-parallel AND
-  // the task-parallel driver (regression: the task driver used to ignore
-  // it and run the dispatch default).
+  // Plan::kernel must reach the fused loops through the Engine's compiled
+  // executor, for every supported f64 kernel.
   const Plan base = make_plan({catalog::best(2, 2, 2)}, Variant::kABC);
   const index_t m = 52, n = 44, k = 36;
   Matrix a = Matrix::random(m, k, 17);
@@ -542,14 +540,6 @@ TEST(KernelRegistry, PlanKernelHonoredByBothDrivers) {
             .ok());
     EXPECT_LE(max_abs_diff(c_data.view(), want.view()), 1e-11 * k)
         << "data driver, " << kern.name;
-    Matrix c_task = Matrix::zero(m, n);
-    TaskContext task_ctx;
-    task_ctx.cfg.num_threads = 2;
-    fmm_multiply_tasks(plan, c_task.view(), a.view(), b.view(), task_ctx);
-    EXPECT_LE(max_abs_diff(c_task.view(), want.view()), 1e-10 * k)
-        << "task driver, " << kern.name;
-    EXPECT_EQ(task_ctx.cfg.kernel, nullptr)
-        << "task driver must restore the caller's kernel setting";
   }
 }
 

@@ -45,6 +45,13 @@ TEST(Matrix, CloneIsDeep) {
   EXPECT_NE(a(0, 0), b(0, 0));
 }
 
+TEST(Matrix, CloneOfEmptyMatrix) {
+  // Nothing to copy: the clone must not touch the (null) buffer.
+  const Matrix b = Matrix(0, 7).clone();
+  EXPECT_EQ(b.rows(), 0);
+  EXPECT_EQ(b.cols(), 7);
+}
+
 TEST(Matrix, RandomIsDeterministicPerSeed) {
   Matrix a = Matrix::random(4, 4, 7);
   Matrix b = Matrix::random(4, 4, 7);

@@ -1,12 +1,15 @@
-// Threading tests: determinism and correctness of the OpenMP data-parallel
+// Threading tests: determinism and correctness of the fork-join data-parallel
 // execution across thread counts, for GEMM and all FMM variants.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
+#include "src/core/task_pool.h"
 #include "src/linalg/ops.h"
-#include "src/util/omp_compat.h"
 #include "src/util/timer.h"
 #include "tests/test_support.h"
 
@@ -61,7 +64,7 @@ TEST(Parallel, TwoLevelHybridManyThreads) {
   const Plan plan = make_plan(
       {catalog::best(2, 2, 2), catalog::best(3, 3, 3)}, Variant::kABC);
   const Matrix c1 = run_fmm(plan, 1, 6 * 31, 6 * 29, 6 * 30);
-  const Matrix cn = run_fmm(plan, omp_get_max_threads(), 6 * 31, 6 * 29, 6 * 30);
+  const Matrix cn = run_fmm(plan, 0, 6 * 31, 6 * 29, 6 * 30);  // every worker
   EXPECT_EQ(max_abs_diff(c1.view(), cn.view()), 0.0);
 }
 
@@ -155,11 +158,14 @@ TEST(Parallel, OverwriteModeAcrossMultipleJcStripes) {
 }
 
 TEST(Parallel, SpeedupOnLargeProblem) {
-  // Weak guarantee (CI boxes vary): 8 threads at least 2x faster than 1.
-  // Meaningless without OpenMP or on boxes with too few cores to show a 2x.
-  if (omp_get_max_threads() < 4) {
-    GTEST_SKIP() << "needs OpenMP and >= 4 hardware threads, have "
-                 << omp_get_max_threads();
+  // Weak guarantee (CI boxes vary): 8 requested threads, capped at the
+  // default pool's workers, at least 2x faster than 1.  Meaningless on
+  // boxes with too few cores, or a pool too small (FMM_WORKERS), to show it.
+  const int threads = std::min<int>(std::thread::hardware_concurrency(),
+                                    TaskPool::current().workers());
+  if (threads < 4) {
+    GTEST_SKIP() << "needs >= 4 hardware threads and pool workers, have "
+                 << threads;
   }
   const index_t s = 1536;
   Matrix a = Matrix::random(s, s, 5);

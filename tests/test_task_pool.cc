@@ -2,11 +2,14 @@
 // execution and future resolution, tag dependencies in every submission
 // order, the priority FIFO, completion callbacks (including callbacks
 // that submit follow-up work), cancellation, destruction with tasks in
-// flight, and concurrent submission from many host threads (the TSan CI
-// leg runs every TaskPool* suite).
+// flight, concurrent submission from many host threads, and the
+// fork-join primitive the BLIS loops run on (the TSan CI leg runs every
+// TaskPool* suite).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -400,6 +403,93 @@ TEST(TaskPoolConcurrency, ConcurrentChainsInterleave) {
   }
   for (auto& h : hosts) h.join();
   for (auto& p : progress) EXPECT_EQ(p.load(), kLen);
+}
+
+// ---------------------------------------------------------------------------
+// Fork-join: parallel_region / ParallelTeam::for_each.
+// ---------------------------------------------------------------------------
+
+TEST(TaskPoolForkJoin, EveryIndexRunsExactlyOnce) {
+  TaskPool pool(4);
+  constexpr std::int64_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  pool.parallel_region(4, kN, [&](ParallelTeam& team) {
+    for (const std::int64_t grain : {1, 3, 64, 5000}) {
+      team.for_each(kN, grain, [&](std::int64_t i, int) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+      // The loop's return is its barrier: every index is already counted.
+      for (auto& h : hits) ASSERT_EQ(h.exchange(0), 1) << "grain " << grain;
+    }
+  });
+}
+
+TEST(TaskPoolForkJoin, ConcurrentParticipantIdsAreDistinctAndBelowCap) {
+  TaskPool pool(4);
+  constexpr int kCap = 3;
+  std::array<std::atomic<int>, kCap> active{};
+  pool.parallel_for(kCap, 400, 1, [&](std::int64_t, int tid) {
+    ASSERT_TRUE(tid >= 0 && tid < kCap) << tid;
+    std::atomic<int>& mine = active[static_cast<std::size_t>(tid)];
+    EXPECT_EQ(mine.fetch_add(1), 0) << "two participants share id " << tid;
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    mine.fetch_sub(1);
+  });
+}
+
+// Waits until `count` reaches `n`, having added this thread.
+void rendezvous(std::atomic<int>& count, int n) {
+  count.fetch_add(1);
+  while (count.load() < n) std::this_thread::yield();
+}
+
+TEST(TaskPoolForkJoin, NestedRegionsOnASaturatedPoolRunSerially) {
+  // Every worker of a 2-worker pool opens a region while the other is busy
+  // too, so no helper can start: each caller runs its loops alone —
+  // finishing, not deadlocking — on the pool it runs on.
+  TaskPool pool(2);
+  std::atomic<int> arrived{0}, finished{0}, helper_chunks{0};
+  std::atomic<long> sum{0};
+  for (int w = 0; w < 2; ++w) {
+    pool.submit([&] {
+      EXPECT_EQ(&TaskPool::current(), &pool);
+      rendezvous(arrived, 2);
+      TaskPool::current().parallel_region(2, 64, [&](ParallelTeam& team) {
+        for (int loop = 0; loop < 3; ++loop) {
+          team.for_each(64, 1, [&](std::int64_t i, int tid) {
+            if (tid != 0) helper_chunks.fetch_add(1);
+            sum.fetch_add(i);
+          });
+        }
+      });
+      // Busy until both regions closed: a worker freed early would serve
+      // the other region's helper.
+      rendezvous(finished, 2);
+    });
+  }
+  pool.wait_all();  // includes the late helpers, which find closed teams
+  EXPECT_EQ(helper_chunks.load(), 0);
+  EXPECT_EQ(sum.load(), 2L * 3 * (63 * 64 / 2));
+}
+
+TEST(TaskPoolForkJoin, LateHelperDoesNotTouchTheJoinedCallersState) {
+  // This region's helper is queued behind two blocked workers, so it starts
+  // after the region returned and its frame is gone.  Touching the
+  // caller's loop then would be a use-after-scope (the ASan leg's catch).
+  TaskPool pool(2);
+  std::atomic<int> blocked{0};
+  for (int w = 0; w < 2; ++w) pool.submit([&] { rendezvous(blocked, 3); });
+  while (blocked.load() < 2) std::this_thread::yield();
+  {
+    std::vector<int> local(100, 0);
+    pool.parallel_for(2, 100, 1, [&](std::int64_t i, int tid) {
+      EXPECT_EQ(tid, 0);
+      local[static_cast<std::size_t>(i)] += 1;
+    });
+    EXPECT_EQ(std::count(local.begin(), local.end(), 1), 100);
+  }
+  rendezvous(blocked, 3);  // releases the workers
+  pool.wait_all();
 }
 
 }  // namespace
