@@ -125,10 +125,10 @@ struct TaskPool::Impl {
   std::condition_variable done_cv;  // wait_all / wait(tag)
   bool stop = false;
   std::atomic<std::size_t> ready_size{0};  // ready.size(), polled unlocked
-  // Idle workers spinning outside the lock.  Each takes the lock again and
-  // pops a task if one is left, so a submit wakes a sleeper only when the
-  // ready tasks outnumber them.
-  int spinning = 0;
+  // Workers neither running a task nor asleep.  Each takes the lock again
+  // and pops a task if one is left, so a submit wakes a sleeper only when
+  // the ready tasks outnumber them.
+  std::atomic<int> awake{0};
   std::uint64_t next_seq = 0;
   std::uint64_t outstanding = 0;  // submitted, not yet finished/cancelled
   std::vector<std::shared_ptr<Task>> ready;  // max-heap (priority, FIFO)
@@ -253,7 +253,7 @@ TaskFuture TaskPool::submit_impl(std::function<Status()> fn,
     }
     if (task->remaining_deps == 0) {
       impl_->push_ready_locked(std::move(task));
-      wake = impl_->ready.size() > static_cast<std::size_t>(impl_->spinning);
+      wake = impl_->ready.size() > static_cast<std::size_t>(impl_->awake);
     }
   }
   if (wake) impl_->work_cv.notify_one();
@@ -268,22 +268,26 @@ void TaskPool::worker_loop(int index) {
     std::snprintf(nm, sizeof(nm), "worker %d", index);
     obs::trace_thread_name(nm);
   }
+  ++impl_->awake;
   std::unique_lock<std::mutex> lk(impl_->mu);
   for (;;) {
     // An idle gap is a span too: it is the signal "the graph starved this
     // worker", which a run-spans-only trace cannot show.
     std::uint64_t idle_start = 0;
-    if (impl_->ready.empty() && !impl_->stop) {
+    auto runnable = [&] { return impl_->stop || !impl_->ready.empty(); };
+    if (!runnable()) {
       if (obs::trace_enabled()) idle_start = obs::now_ns();
-      ++impl_->spinning;
       lk.unlock();
       spin_until(kIdleSpinNs, [&] {
         return impl_->ready_size.load(std::memory_order_relaxed) != 0;
       });
       lock_spinning(lk);
-      --impl_->spinning;
     }
-    impl_->work_cv.wait(lk, [&] { return impl_->stop || !impl_->ready.empty(); });
+    if (!runnable()) {
+      --impl_->awake;
+      impl_->work_cv.wait(lk, runnable);
+      ++impl_->awake;
+    }
     if (idle_start != 0 && obs::trace_enabled()) {
       obs::trace_complete("worker.idle", "pool", idle_start, obs::now_ns(),
                           "", index);
@@ -293,6 +297,7 @@ void TaskPool::worker_loop(int index) {
       continue;
     }
     std::shared_ptr<Task> task = impl_->pop_ready_locked();
+    --impl_->awake;
     // Instrument attachment is read under the lock: a consistent snapshot
     // even if set_metrics races a draining pool.
     obs::Histogram* qw =
@@ -326,6 +331,7 @@ void TaskPool::worker_loop(int index) {
       status = Status::error(StatusCode::kInvalidArgument,
                              "task body threw a non-std exception");
     }
+    ++impl_->awake;
     task->fn = nullptr;  // release captures before dependents observe done
     if (tr != nullptr) tr->add();
 
@@ -511,7 +517,7 @@ std::shared_ptr<ParallelTeam::State> TaskPool::fork_team(
     ++impl_->outstanding;
     impl_->push_ready_locked(std::move(task));
   }
-  const int wake = static_cast<int>(impl_->ready.size()) - impl_->spinning;
+  const int wake = static_cast<int>(impl_->ready.size()) - impl_->awake;
   lk.unlock();
   for (int i = 0; i < std::min(wake, want - 1); ++i) {
     impl_->work_cv.notify_one();
