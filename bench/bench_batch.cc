@@ -394,17 +394,13 @@ int main(int argc, char** argv) {
     run64();
     const double t64 = best_time_of(reps, run64);
 
-    std::vector<float> a32(static_cast<std::size_t>(s) * s);
-    std::vector<float> b32(a32.size());
-    std::vector<float> c32(a32.size(), 0.0f);
-    for (std::size_t i = 0; i < a32.size(); ++i) {
-      a32[i] = static_cast<float>(a64.data()[i]);
-      b32[i] = static_cast<float>(b64.data()[i]);
-    }
-    MatViewF32 cv(c32.data(), s, s, s);
-    ConstMatViewF32 av(a32.data(), s, s, s);
-    ConstMatViewF32 bv(b32.data(), s, s, s);
-    auto run32 = [&] { (void)engine.multiply(plan, cv, av, bv, one); };
+    // Same seeds: the f64 operands rounded to float.
+    MatrixT<float> a32 = MatrixT<float>::random(s, s, 50);
+    MatrixT<float> b32 = MatrixT<float>::random(s, s, 51);
+    MatrixT<float> c32 = MatrixT<float>::zero(s, s);
+    auto run32 = [&] {
+      (void)engine.multiply(plan, c32.view(), a32.view(), b32.view(), one);
+    };
     run32();
     const double t32 = best_time_of(reps, run32);
 

@@ -82,6 +82,21 @@ constexpr std::uint64_t dtype_history_salt(DType dtype) {
   return dtype == DType::kF32 ? 0x6633326b65797aull : 0;
 }
 
+constexpr index_t kIndexMax = std::numeric_limits<index_t>::max();
+
+// True when `rows` rows of `len` elements, `stride` apart, span more than
+// index_t can address: (rows - 1) * stride + len > kIndexMax.  Decided by a
+// division, so the overflowing product is never formed.  Arguments are
+// non-negative.
+bool span_overflows(index_t rows, index_t stride, index_t len) {
+  return rows > 1 && stride > 0 && rows - 1 > (kIndexMax - len) / stride;
+}
+
+// The elements that span covers; only after span_overflows() said no.
+index_t span(index_t rows, index_t stride, index_t len) {
+  return rows == 0 ? 0 : (rows - 1) * stride + len;
+}
+
 template <typename T>
 Status validate_triple(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
   if (c.rows() < 0 || c.cols() < 0 || a.rows() < 0 || a.cols() < 0 ||
@@ -101,6 +116,12 @@ Status validate_triple(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
       b.stride() < b.cols()) {
     return Status::error(StatusCode::kInvalidStride,
                          "row stride smaller than the row length");
+  }
+  if (span_overflows(c.rows(), c.stride(), c.cols()) ||
+      span_overflows(a.rows(), a.stride(), a.cols()) ||
+      span_overflows(b.rows(), b.stride(), b.cols())) {
+    return Status::error(StatusCode::kInvalidShape,
+                         "operand extent overflows the index type");
   }
   if (!c.empty() && c.data() == nullptr) {
     return Status::error(StatusCode::kInvalidArgument, "null C data");
@@ -138,7 +159,24 @@ Status validate_strided(StridedBatchT<T>& sb) {
     return Status::error(StatusCode::kInvalidStride,
                          "negative batch stride");
   }
-  if (sb.count == 0) return Status{};
+  if (sb.count > static_cast<std::size_t>(kIndexMax)) {
+    return Status::error(StatusCode::kInvalidShape,
+                         "batch count overflows the index type");
+  }
+  // Every offset the executor forms, item * stride + row * ld + col, must
+  // be addressable: per operand, one item's span, then `count` of them
+  // `stride` apart (|| checks each item span before span() forms it).
+  const index_t count = static_cast<index_t>(sb.count);
+  if (span_overflows(sb.m, sb.ldc, sb.n) ||
+      span_overflows(sb.m, sb.lda, sb.k) ||
+      span_overflows(sb.k, sb.ldb, sb.n) ||
+      span_overflows(count, sb.stride_c, span(sb.m, sb.ldc, sb.n)) ||
+      span_overflows(count, sb.stride_a, span(sb.m, sb.lda, sb.k)) ||
+      span_overflows(count, sb.stride_b, span(sb.k, sb.ldb, sb.n))) {
+    return Status::error(StatusCode::kInvalidShape,
+                         "batch extent overflows the index type");
+  }
+  if (count == 0) return Status{};
   const bool c_nonempty = sb.m > 0 && sb.n > 0;
   if (c_nonempty && sb.c == nullptr) {
     return Status::error(StatusCode::kInvalidArgument, "null C base pointer");
@@ -149,7 +187,7 @@ Status validate_strided(StridedBatchT<T>& sb) {
   if (sb.k > 0 && sb.n > 0 && sb.b == nullptr) {
     return Status::error(StatusCode::kInvalidArgument, "null B base pointer");
   }
-  if (c_nonempty && sb.count > 1) {
+  if (c_nonempty && count > 1) {
     if (sb.stride_c == 0) {
       return Status::error(StatusCode::kAliasing,
                            "stride_c == 0: every item writes the same C");
@@ -161,10 +199,10 @@ Status validate_strided(StridedBatchT<T>& sb) {
     // row r of every item lives in row r of the parent).  Anything in
     // between — e.g. stride_c == n with a dense ldc and m > 1, where item
     // 1 starts inside item 0's second row — overlaps and would race.
-    const bool stacked = sb.stride_c >= (sb.m - 1) * sb.ldc + sb.n;
+    // Both sides are bounded by the spans checked above.
+    const bool stacked = sb.stride_c >= span(sb.m, sb.ldc, sb.n);
     const bool interleaved =
-        sb.stride_c >= sb.n &&
-        static_cast<index_t>(sb.count - 1) * sb.stride_c + sb.n <= sb.ldc;
+        sb.stride_c >= sb.n && (count - 1) * sb.stride_c + sb.n <= sb.ldc;
     if (!stacked && !interleaved) {
       return Status::error(
           StatusCode::kInvalidStride,
@@ -375,8 +413,6 @@ Engine::Engine(const Options& opts)
   } else if (opts.recurse_cutoff == 0) {
     recurse_cutoff_ = env_recurse_cutoff();
   }  // negative: descent disabled, recurse_cutoff_ stays 0
-
-  if (opts.calibrate_now) calibrate();
 }
 
 Engine::~Engine() {
@@ -522,11 +558,6 @@ void Engine::ensure_plan_space_locked() {
 }
 
 std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
-                                                        index_t k) {
-  return choice_handle(m, n, k, DType::kF64);
-}
-
-std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
                                                         index_t k,
                                                         DType dtype) {
   const std::array<index_t, 4> key{m, n, k, static_cast<index_t>(dtype)};
@@ -651,10 +682,6 @@ std::shared_ptr<const AutoChoice> Engine::choice_handle(index_t m, index_t n,
   return choice;
 }
 
-AutoChoice Engine::choice_for(index_t m, index_t n, index_t k) {
-  return *choice_handle(m, n, k);
-}
-
 AutoChoice Engine::choice_for(index_t m, index_t n, index_t k, DType dtype) {
   return *choice_handle(m, n, k, dtype);
 }
@@ -674,11 +701,6 @@ Status Engine::calibrate() {
   // The parameters above are already installed regardless: a broken rate
   // cache only costs persistence, not correctness.
   return arch::calibration_file_status();
-}
-
-ModelParams Engine::params() const {
-  std::lock_guard<std::mutex> lk(choice_mu_);
-  return params_;
 }
 
 ModelParams Engine::params(DType dtype) const {
@@ -1013,47 +1035,17 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
 }
 
 // ---------------------------------------------------------------------------
-// Public entry points: multiply is submit + wait (one execution path).
+// Public entry points: multiply is submit + wait (one execution path).  The
+// single-request forms are inline templates in engine.h over these two
+// instantiations.
 // ---------------------------------------------------------------------------
 
-Status Engine::multiply(const Plan& plan, MatView c, ConstMatView a,
-                        ConstMatView b) {
-  return submit_single<double>(&plan, c, a, b, cfg_, nullptr).status();
-}
-
-Status Engine::multiply(const Plan& plan, MatView c, ConstMatView a,
-                        ConstMatView b, const GemmConfig& cfg) {
-  return submit_single<double>(&plan, c, a, b, cfg, nullptr).status();
-}
-
-Status Engine::multiply(MatView c, ConstMatView a, ConstMatView b) {
-  return submit_single<double>(nullptr, c, a, b, cfg_, nullptr).status();
-}
-
-Status Engine::multiply(MatView c, ConstMatView a, ConstMatView b,
-                        std::shared_ptr<const AutoChoice>* executed) {
-  // `executed` stays valid for the task's lifetime because this call waits.
-  return submit_single<double>(nullptr, c, a, b, cfg_, executed).status();
-}
-
-Status Engine::multiply(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                        ConstMatViewF32 b) {
-  return submit_single<float>(&plan, c, a, b, cfg_, nullptr).status();
-}
-
-Status Engine::multiply(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                        ConstMatViewF32 b, const GemmConfig& cfg) {
-  return submit_single<float>(&plan, c, a, b, cfg, nullptr).status();
-}
-
-Status Engine::multiply(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b) {
-  return submit_single<float>(nullptr, c, a, b, cfg_, nullptr).status();
-}
-
-Status Engine::multiply(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
-                        std::shared_ptr<const AutoChoice>* executed) {
-  return submit_single<float>(nullptr, c, a, b, cfg_, executed).status();
-}
+template TaskFuture Engine::submit_single<double>(
+    const Plan*, MatView, ConstMatView, ConstMatView, const GemmConfig&,
+    std::shared_ptr<const AutoChoice>*);
+template TaskFuture Engine::submit_single<float>(
+    const Plan*, MatViewT<float>, ConstMatViewT<float>, ConstMatViewT<float>,
+    const GemmConfig&, std::shared_ptr<const AutoChoice>*);
 
 Status Engine::multiply(const Plan& plan, const BatchSpec& batch) {
   return submit(plan, batch).status();
@@ -1066,34 +1058,6 @@ Status Engine::multiply(const Plan& plan, const BatchSpec& batch,
 
 Status Engine::multiply(const BatchSpec& batch) {
   return submit(batch).status();
-}
-
-TaskFuture Engine::submit(const Plan& plan, MatView c, ConstMatView a,
-                          ConstMatView b) {
-  return submit_single<double>(&plan, c, a, b, cfg_, nullptr);
-}
-
-TaskFuture Engine::submit(const Plan& plan, MatView c, ConstMatView a,
-                          ConstMatView b, const GemmConfig& cfg) {
-  return submit_single<double>(&plan, c, a, b, cfg, nullptr);
-}
-
-TaskFuture Engine::submit(MatView c, ConstMatView a, ConstMatView b) {
-  return submit_single<double>(nullptr, c, a, b, cfg_, nullptr);
-}
-
-TaskFuture Engine::submit(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                          ConstMatViewF32 b) {
-  return submit_single<float>(&plan, c, a, b, cfg_, nullptr);
-}
-
-TaskFuture Engine::submit(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                          ConstMatViewF32 b, const GemmConfig& cfg) {
-  return submit_single<float>(&plan, c, a, b, cfg, nullptr);
-}
-
-TaskFuture Engine::submit(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b) {
-  return submit_single<float>(nullptr, c, a, b, cfg_, nullptr);
 }
 
 TaskFuture Engine::submit(const Plan& plan, const BatchSpec& batch) {

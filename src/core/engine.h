@@ -1,13 +1,8 @@
 #pragma once
 
-// fmm::Engine — the one public handle for serving FMM traffic.
-//
-// Before this layer the repo had three competing amortization stories:
-// fmm_multiply's single-entry FmmContext cache (one shape at a time, one
-// thread at a time), raw FmmExecutor construction (caller-managed, one
-// shape per object), and AutoMultiplier's private per-shape maps (unbounded,
-// single-caller).  None could be shared between host threads or serve a
-// mixed-shape request stream.  Engine owns all of it:
+// fmm::Engine — the one public handle for serving FMM traffic.  One engine
+// is shared by any number of host threads and serves a mixed-shape,
+// mixed-precision request stream; it owns every amortization:
 //
 //   * a bounded, mutex-sharded, LRU-evicting **executor cache** keyed by
 //     (plan — exact coefficient compare, m/n/k, requested GemmConfig).
@@ -18,8 +13,7 @@
 //
 //   * an **explicit-plan path** (multiply(plan, C, A, B)) and an **auto
 //     path** (multiply(C, A, B)) that delegates shape -> algorithm choice
-//     to the performance model, with a bounded LRU per-shape choice cache
-//     (AutoMultiplier's old unbounded std::map, absorbed and capped).
+//     to the performance model, with a bounded LRU per-shape choice cache.
 //
 //   * **batches** described by BatchSpec: per-item views, a strided or
 //     interleaved layout (base pointer + batch stride per operand, expanded
@@ -64,8 +58,10 @@
 //   TaskFuture f = engine.submit(plan, C, A, B);      // async; f.status()
 //   engine.wait_all();                                // drain every submit
 //
-// fmm_multiply (driver.h) and AutoMultiplier (model/auto.h) survive as
-// thin deprecated shims over a process-default Engine / an owned Engine.
+// Element type: every single-request entry point is a template on T
+// (double or float) deduced from C alone; A and B are
+// ConstMatViewT<NoDeduce<T>>, so writable views convert as usual.  Batches
+// carry T in their BatchSpec.  Both precisions run the same code path.
 
 #include <array>
 #include <atomic>
@@ -74,6 +70,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/executor.h"
@@ -86,8 +83,7 @@
 
 namespace fmm {
 
-// The auto path's per-shape decision (moved here from model/auto.h; that
-// header re-exports it for source compatibility).
+// The auto path's per-shape decision.
 struct AutoChoice {
   bool use_gemm = true;      // conventional GEMM won the model ranking
   std::optional<Plan> plan;  // set when use_gemm == false
@@ -109,48 +105,35 @@ struct AutoChoice {
 //                  (StridedBatch, executor.h); a single shape, expanded
 //                  index-by-index without materializing views.
 //
-// Both layouts exist for double (BatchItem / StridedBatch) and float
-// (BatchItemF32 / StridedBatchF32) operands; the factory overloads record
-// the element type and Engine::multiply dispatches on dtype().  A batch is
-// homogeneous in element type — mixed-precision traffic is separate calls.
+// Both layouts are templated on the element type T (double or float); the
+// factories record it and Engine::multiply dispatches on dtype().  A batch
+// is homogeneous in element type — mixed-precision traffic is separate
+// calls.
 //
 // BatchSpec does not own the views or buffers; they must outlive the call.
 class BatchSpec {
  public:
   BatchSpec() = default;
 
-  static BatchSpec items(const BatchItem* items, std::size_t count) {
+  template <typename T>
+  static BatchSpec items(const BatchItemT<T>* items, std::size_t count) {
     BatchSpec s;
     s.items_ = items;
     s.count_ = count;
+    s.dtype_ = DTypeOf<T>::value;
     return s;
   }
-  static BatchSpec items(const std::vector<BatchItem>& v) {
+  template <typename T>
+  static BatchSpec items(const std::vector<BatchItemT<T>>& v) {
     return items(v.data(), v.size());
   }
-  static BatchSpec strided(const StridedBatch& sb) {
+  template <typename T>
+  static BatchSpec strided(const StridedBatchT<T>& sb) {
     BatchSpec s;
-    s.strided_ = sb;
+    std::get<StridedBatchT<T>>(s.strided_) = sb;
     s.is_strided_ = true;
     s.count_ = sb.count;
-    return s;
-  }
-  static BatchSpec items(const BatchItemF32* items, std::size_t count) {
-    BatchSpec s;
-    s.items_ = items;
-    s.count_ = count;
-    s.dtype_ = DType::kF32;
-    return s;
-  }
-  static BatchSpec items(const std::vector<BatchItemF32>& v) {
-    return items(v.data(), v.size());
-  }
-  static BatchSpec strided(const StridedBatchF32& sb) {
-    BatchSpec s;
-    s.strided_f32_ = sb;
-    s.is_strided_ = true;
-    s.count_ = sb.count;
-    s.dtype_ = DType::kF32;
+    s.dtype_ = DTypeOf<T>::value;
     return s;
   }
 
@@ -163,28 +146,17 @@ class BatchSpec {
     return static_cast<const BatchItemT<T>*>(items_);
   }
   template <typename T>
-  const StridedBatchT<T>& strided_as() const;
-  // Legacy f64 accessors.
-  const BatchItem* item_data() const { return items_as<double>(); }
-  const StridedBatch& strided_desc() const { return strided_; }
+  const StridedBatchT<T>& strided_as() const {
+    return std::get<StridedBatchT<T>>(strided_);
+  }
 
  private:
   const void* items_ = nullptr;
   std::size_t count_ = 0;
-  StridedBatch strided_{};
-  StridedBatchF32 strided_f32_{};
+  std::tuple<StridedBatchT<double>, StridedBatchT<float>> strided_{};
   bool is_strided_ = false;
   DType dtype_ = DType::kF64;
 };
-
-template <>
-inline const StridedBatchT<double>& BatchSpec::strided_as<double>() const {
-  return strided_;
-}
-template <>
-inline const StridedBatchT<float>& BatchSpec::strided_as<float>() const {
-  return strided_f32_;
-}
 
 class Engine {
  public:
@@ -216,11 +188,6 @@ class Engine {
     // participants (0 = every worker) from this same pool, so concurrent
     // requests share the workers instead of oversubscribing the cores.
     int workers = 0;
-    // Run the ~1 s model calibration in the constructor.  When false the
-    // auto path uses literature-default parameters until calibrate().
-    // Construction ignores the calibration Status; call calibrate()
-    // explicitly to observe it.
-    bool calibrate_now = false;
     // Calibration-cache file for the measured kernel rates.  Non-empty
     // overrides FMM_CALIB_CACHE *process-wide* (the rate cache is shared
     // by every engine in the process); empty defers to the env.
@@ -286,40 +253,51 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
+  // The single-request forms are templates on the element type (see the
+  // top of this file); each forwards to submit_single<T>.
+
   // --- Explicit-plan path -------------------------------------------------
   // C += A * B through the cached executor for (plan, shape, config).
-  // Element type is a runtime plan property: the float overloads stamp
-  // DType::kF32 on their copy of the plan (double stamps kF64), so one
-  // Plan value may serve both precisions while the executor cache, choice
-  // cache and history keys stay strictly per-dtype.
-  Status multiply(const Plan& plan, MatView c, ConstMatView a, ConstMatView b);
+  // Element type is a runtime plan property: the call stamps DTypeOf<T> on
+  // its copy of the plan, so one Plan value may serve both precisions while
+  // the executor cache, choice cache and history keys stay strictly
+  // per-dtype.
+  template <typename T>
+  Status multiply(const Plan& plan, MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                  ConstMatViewT<NoDeduce<T>> b) {
+    return submit_single<T>(&plan, c, a, b, cfg_, nullptr).status();
+  }
   // Per-call config override (keys the cache alongside the plan and shape).
-  Status multiply(const Plan& plan, MatView c, ConstMatView a, ConstMatView b,
-                  const GemmConfig& cfg);
-  Status multiply(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                  ConstMatViewF32 b);
-  Status multiply(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                  ConstMatViewF32 b, const GemmConfig& cfg);
+  template <typename T>
+  Status multiply(const Plan& plan, MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                  ConstMatViewT<NoDeduce<T>> b, const GemmConfig& cfg) {
+    return submit_single<T>(&plan, c, a, b, cfg, nullptr).status();
+  }
 
   // --- Auto path ----------------------------------------------------------
   // C += A * B with the model-selected algorithm for the shape (cached
   // per-shape decision; compiled executors shared with the explicit path).
-  Status multiply(MatView c, ConstMatView a, ConstMatView b);
+  template <typename T>
+  Status multiply(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                  ConstMatViewT<NoDeduce<T>> b) {
+    return submit_single<T>(nullptr, c, a, b, cfg_, nullptr).status();
+  }
   // As above, and reports the decision this call executed through
   // `executed` (a shared snapshot; same single cache lookup the execution
   // uses, so it is exactly what ran).  `executed` may be null; it is left
-  // untouched when validation rejects the request.
-  Status multiply(MatView c, ConstMatView a, ConstMatView b,
-                  std::shared_ptr<const AutoChoice>* executed);
-  Status multiply(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b);
-  Status multiply(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
-                  std::shared_ptr<const AutoChoice>* executed);
+  // untouched when validation rejects the request.  It stays valid for the
+  // task's lifetime because this call waits.
+  template <typename T>
+  Status multiply(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                  ConstMatViewT<NoDeduce<T>> b,
+                  std::shared_ptr<const AutoChoice>* executed) {
+    return submit_single<T>(nullptr, c, a, b, cfg_, executed).status();
+  }
 
   // --- Batches ------------------------------------------------------------
   // Every item through the one plan; cross-shape item batches are grouped
   // by shape, one cached executor per group.  The BatchSpec carries its
-  // element type (see the f32 factory overloads above), so these entry
-  // points serve both precisions.
+  // element type, so these entry points serve both precisions.
   Status multiply(const Plan& plan, const BatchSpec& batch);
   Status multiply(const Plan& plan, const BatchSpec& batch,
                   const GemmConfig& cfg);
@@ -335,16 +313,23 @@ class Engine {
   // call.  A cross-shape item batch fans out one task per shape group and
   // the returned future resolves when the whole batch is done.  Results
   // are bitwise identical to the synchronous forms.
-  TaskFuture submit(const Plan& plan, MatView c, ConstMatView a,
-                    ConstMatView b);
-  TaskFuture submit(const Plan& plan, MatView c, ConstMatView a,
-                    ConstMatView b, const GemmConfig& cfg);
-  TaskFuture submit(MatView c, ConstMatView a, ConstMatView b);
-  TaskFuture submit(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                    ConstMatViewF32 b);
-  TaskFuture submit(const Plan& plan, MatViewF32 c, ConstMatViewF32 a,
-                    ConstMatViewF32 b, const GemmConfig& cfg);
-  TaskFuture submit(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b);
+  template <typename T>
+  TaskFuture submit(const Plan& plan, MatViewT<T> c,
+                    ConstMatViewT<NoDeduce<T>> a,
+                    ConstMatViewT<NoDeduce<T>> b) {
+    return submit_single<T>(&plan, c, a, b, cfg_, nullptr);
+  }
+  template <typename T>
+  TaskFuture submit(const Plan& plan, MatViewT<T> c,
+                    ConstMatViewT<NoDeduce<T>> a, ConstMatViewT<NoDeduce<T>> b,
+                    const GemmConfig& cfg) {
+    return submit_single<T>(&plan, c, a, b, cfg, nullptr);
+  }
+  template <typename T>
+  TaskFuture submit(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                    ConstMatViewT<NoDeduce<T>> b) {
+    return submit_single<T>(nullptr, c, a, b, cfg_, nullptr);
+  }
   TaskFuture submit(const Plan& plan, const BatchSpec& batch);
   TaskFuture submit(const Plan& plan, const BatchSpec& batch,
                     const GemmConfig& cfg);
@@ -356,27 +341,25 @@ class Engine {
   // --- Auto-path inspection / control -------------------------------------
   // The decision multiply() would take for a shape (computed and cached on
   // first use).  Returned by value: the underlying cache entry may be
-  // evicted at any time.  The dtype overloads rank within that element
-  // type's kernel family under its own model parameters; the dtype-less
-  // forms are the f64 decision.
-  AutoChoice choice_for(index_t m, index_t n, index_t k);
-  AutoChoice choice_for(index_t m, index_t n, index_t k, DType dtype);
+  // evicted at any time.  `dtype` ranks within that element type's kernel
+  // family under its own model parameters.
+  AutoChoice choice_for(index_t m, index_t n, index_t k,
+                        DType dtype = DType::kF64);
   // Allocation-free-on-hit variant: a shared snapshot of the cached
   // decision (stays valid across eviction; never null).  The hot-path form
   // for callers that query per call.
   std::shared_ptr<const AutoChoice> choice_handle(index_t m, index_t n,
-                                                  index_t k);
-  std::shared_ptr<const AutoChoice> choice_handle(index_t m, index_t n,
-                                                  index_t k, DType dtype);
+                                                  index_t k,
+                                                  DType dtype = DType::kF64);
   // Measure machine parameters for the model (~1 s, once; both element
-  // types).  Clears the choice cache — decisions made under the old
+  // types); until then the auto path ranks with literature-default
+  // parameters.  Clears the choice cache — decisions made under the old
   // parameters are stale.  Returns the calibration-cache file status
   // (arch::calibration_file_status()): the parameters are always updated
   // best-effort, a non-OK Status means the *persisted* rate cache is not
   // working.
   Status calibrate();
-  ModelParams params() const;
-  ModelParams params(DType dtype) const;
+  ModelParams params(DType dtype = DType::kF64) const;
 
   // --- Online performance model -------------------------------------------
   // The history store: measured per-(plan, shape-bucket, kernel, threads)
@@ -444,7 +427,8 @@ class Engine {
                                                 index_t n, index_t k,
                                                 const GemmConfig& cfg);
   // submit_* validate, then either queue the work or (on a pool worker
-  // thread) run exec_* inline; every multiply/submit overload lands here.
+  // thread) run exec_* inline; every multiply/submit form lands here.
+  // Explicitly instantiated for double and float in engine.cc.
   template <typename T>
   TaskFuture submit_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
                            ConstMatViewT<T> b, const GemmConfig& cfg,
@@ -563,8 +547,8 @@ class Engine {
   obs::Counter* history_overrides_ = nullptr;
 };
 
-// The process-default Engine (default Options), used by the deprecated
-// fmm_multiply shim.  Constructed on first use, never destroyed before
+// A process-wide Engine with default Options, for callers that do not own
+// one (tests, benches).  Constructed on first use, never destroyed before
 // program exit.
 Engine& default_engine();
 

@@ -475,8 +475,8 @@ void run_node_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
 
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
-                            MatViewT<T> c, ConstMatViewT<T> a,
-                            ConstMatViewT<T> b) {
+                            MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                            ConstMatViewT<NoDeduce<T>> b) {
   assert(ctx.pool != nullptr && ctx.buffers != nullptr && ctx.leaf);
   assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
   return build_node(ctx, std::make_shared<const Plan>(plan), c, a, b,
@@ -485,8 +485,8 @@ TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
 
 template <typename T>
 void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
-                              MatViewT<T> c, ConstMatViewT<T> a,
-                              ConstMatViewT<T> b) {
+                              MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                              ConstMatViewT<NoDeduce<T>> b) {
   assert(ctx.buffers != nullptr && ctx.leaf);
   assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
   run_node_sequential(ctx, plan, c, a, b, /*depth=*/0);

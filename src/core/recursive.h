@@ -130,8 +130,6 @@ class BufferPool {
 template <typename T>
 using RecursiveLeafFnT = std::function<void(
     const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b)>;
-using RecursiveLeafFn = RecursiveLeafFnT<double>;
-using RecursiveLeafFnF32 = RecursiveLeafFnT<float>;
 
 // Everything one recursive execution needs.  Copied into the node state;
 // the pointed-to pool/buffers/leaf must outlive the returned future.  The
@@ -148,7 +146,6 @@ struct RecursiveExecT {
                                 // (max(2, pool workers), capped at R)
 };
 using RecursiveExec = RecursiveExecT<double>;
-using RecursiveExecF32 = RecursiveExecT<float>;
 
 // True when (plan, m, n, k) qualifies for one step of task-recursive
 // descent under `cutoff`: a positive cutoff, at least one plan level, every
@@ -161,11 +158,12 @@ bool should_recurse(const Plan& plan, index_t m, index_t n, index_t k,
 // finalizer's future (resolves when every update and peel piece has
 // landed).  Callers must keep the operand buffers alive until then; `plan`
 // is copied.  Requires should_recurse(plan, ...) — callers route
-// non-qualifying shapes to a flat executor instead.
+// non-qualifying shapes to a flat executor instead.  T is deduced from C
+// (and ctx); A and B may be writable views (see NoDeduce, mat_view.h).
 template <typename T>
 TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
-                            MatViewT<T> c, ConstMatViewT<T> a,
-                            ConstMatViewT<T> b);
+                            MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                            ConstMatViewT<NoDeduce<T>> b);
 
 // The sequential twin: the same decomposition, leaf calls, and per-element
 // update order executed inline on the calling thread — bitwise identical
@@ -174,43 +172,7 @@ TaskFuture submit_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
 // and as the determinism oracle in tests.  ctx.pool may be null.
 template <typename T>
 void run_recursive_sequential(const RecursiveExecT<T>& ctx, const Plan& plan,
-                              MatViewT<T> c, ConstMatViewT<T> a,
-                              ConstMatViewT<T> b);
-
-// Non-template overloads so call sites can pass writable views where a
-// const view is expected (template deduction will not apply the implicit
-// MatView -> ConstMatView conversion).
-inline TaskFuture submit_recursive(const RecursiveExec& ctx, const Plan& plan,
-                                   MatView c, ConstMatView a, ConstMatView b) {
-  return submit_recursive<double>(ctx, plan, c, a, b);
-}
-inline TaskFuture submit_recursive(const RecursiveExecF32& ctx,
-                                   const Plan& plan, MatViewF32 c,
-                                   ConstMatViewF32 a, ConstMatViewF32 b) {
-  return submit_recursive<float>(ctx, plan, c, a, b);
-}
-inline void run_recursive_sequential(const RecursiveExec& ctx,
-                                     const Plan& plan, MatView c,
-                                     ConstMatView a, ConstMatView b) {
-  run_recursive_sequential<double>(ctx, plan, c, a, b);
-}
-inline void run_recursive_sequential(const RecursiveExecF32& ctx,
-                                     const Plan& plan, MatViewF32 c,
-                                     ConstMatViewF32 a, ConstMatViewF32 b) {
-  run_recursive_sequential<float>(ctx, plan, c, a, b);
-}
-
-extern template TaskFuture submit_recursive<double>(
-    const RecursiveExecT<double>&, const Plan&, MatViewT<double>,
-    ConstMatViewT<double>, ConstMatViewT<double>);
-extern template TaskFuture submit_recursive<float>(
-    const RecursiveExecT<float>&, const Plan&, MatViewT<float>,
-    ConstMatViewT<float>, ConstMatViewT<float>);
-extern template void run_recursive_sequential<double>(
-    const RecursiveExecT<double>&, const Plan&, MatViewT<double>,
-    ConstMatViewT<double>, ConstMatViewT<double>);
-extern template void run_recursive_sequential<float>(
-    const RecursiveExecT<float>&, const Plan&, MatViewT<float>,
-    ConstMatViewT<float>, ConstMatViewT<float>);
+                              MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+                              ConstMatViewT<NoDeduce<T>> b);
 
 }  // namespace fmm

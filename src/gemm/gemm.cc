@@ -5,11 +5,11 @@
 #include "src/core/task_pool.h"
 
 namespace fmm {
-namespace {
 
 template <typename T>
-void gemm_impl(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
-               GemmWorkspaceT<T>& ws, const GemmConfig& cfg) {
+void gemm(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+          ConstMatViewT<NoDeduce<T>> b, GemmWorkspaceT<T>& ws,
+          const GemmConfig& cfg) {
   assert(a.rows() == c.rows() && b.cols() == c.cols() && a.cols() == b.rows());
   LinTermT<T> at{a.data(), 1.0};
   LinTermT<T> bt{b.data(), 1.0};
@@ -19,7 +19,15 @@ void gemm_impl(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b,
 }
 
 template <typename T>
-void ref_gemm_impl(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
+void gemm(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+          ConstMatViewT<NoDeduce<T>> b, const GemmConfig& cfg) {
+  GemmWorkspaceT<T> ws;
+  gemm<T>(c, a, b, ws, cfg);
+}
+
+template <typename T>
+void ref_gemm(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+              ConstMatViewT<NoDeduce<T>> b) {
   assert(a.rows() == c.rows() && b.cols() == c.cols() && a.cols() == b.rows());
   const index_t m = c.rows(), n = c.cols(), k = a.cols();
   TaskPool::current().parallel_for(0, m, 8, [&](index_t i, int) {
@@ -33,35 +41,15 @@ void ref_gemm_impl(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
   });
 }
 
-}  // namespace
-
-void gemm(MatView c, ConstMatView a, ConstMatView b, GemmWorkspace& ws,
-          const GemmConfig& cfg) {
-  gemm_impl<double>(c, a, b, ws, cfg);
-}
-
-void gemm(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
-          GemmWorkspaceF32& ws, const GemmConfig& cfg) {
-  gemm_impl<float>(c, a, b, ws, cfg);
-}
-
-void gemm(MatView c, ConstMatView a, ConstMatView b, const GemmConfig& cfg) {
-  GemmWorkspace ws;
-  gemm_impl<double>(c, a, b, ws, cfg);
-}
-
-void gemm(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
-          const GemmConfig& cfg) {
-  GemmWorkspaceF32 ws;
-  gemm_impl<float>(c, a, b, ws, cfg);
-}
-
-void ref_gemm(MatView c, ConstMatView a, ConstMatView b) {
-  ref_gemm_impl<double>(c, a, b);
-}
-
-void ref_gemm(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b) {
-  ref_gemm_impl<float>(c, a, b);
-}
+template void gemm<double>(MatView, ConstMatView, ConstMatView, GemmWorkspace&,
+                           const GemmConfig&);
+template void gemm<float>(MatViewF32, ConstMatViewF32, ConstMatViewF32,
+                          GemmWorkspaceF32&, const GemmConfig&);
+template void gemm<double>(MatView, ConstMatView, ConstMatView,
+                           const GemmConfig&);
+template void gemm<float>(MatViewF32, ConstMatViewF32, ConstMatViewF32,
+                          const GemmConfig&);
+template void ref_gemm<double>(MatView, ConstMatView, ConstMatView);
+template void ref_gemm<float>(MatViewF32, ConstMatViewF32, ConstMatViewF32);
 
 }  // namespace fmm

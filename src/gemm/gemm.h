@@ -5,9 +5,8 @@
 //   gemm(C, A, B, ...)    : C += A * B   (the "BLIS" baseline of the paper)
 //   ref_gemm(C, A, B)     : slow, obviously-correct reference for tests
 //
-// Each entry point comes in f64 (MatView) and f32 (MatViewF32) flavors; the
-// f32 overloads route through the same fused driver instantiated on float
-// and dispatch to that dtype's kernel family.
+// The element type T (double or float) is deduced from C and selects that
+// dtype's kernel family; explicit instantiations live in gemm.cc.
 
 #include "src/gemm/fused.h"
 #include "src/linalg/mat_view.h"
@@ -15,21 +14,21 @@
 namespace fmm {
 
 // C += A * B through the high-performance fused driver.
-void gemm(MatView c, ConstMatView a, ConstMatView b, GemmWorkspace& ws,
+template <typename T>
+void gemm(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+          ConstMatViewT<NoDeduce<T>> b, GemmWorkspaceT<T>& ws,
           const GemmConfig& cfg = GemmConfig{});
-void gemm(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
-          GemmWorkspaceF32& ws, const GemmConfig& cfg = GemmConfig{});
 
 // Convenience overload with its own workspace (tests, one-off calls).
-void gemm(MatView c, ConstMatView a, ConstMatView b,
-          const GemmConfig& cfg = GemmConfig{});
-void gemm(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b,
-          const GemmConfig& cfg = GemmConfig{});
+template <typename T>
+void gemm(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+          ConstMatViewT<NoDeduce<T>> b, const GemmConfig& cfg = GemmConfig{});
 
 // Naive triple-loop C += A * B (rows split over TaskPool::current()).  The
 // ground truth used by the test suite; no packing, no blocking, no
 // surprises.
-void ref_gemm(MatView c, ConstMatView a, ConstMatView b);
-void ref_gemm(MatViewF32 c, ConstMatViewF32 a, ConstMatViewF32 b);
+template <typename T>
+void ref_gemm(MatViewT<T> c, ConstMatViewT<NoDeduce<T>> a,
+              ConstMatViewT<NoDeduce<T>> b);
 
 }  // namespace fmm

@@ -7,10 +7,12 @@
 // storage, and the packing routines absorb the linear combinations of those
 // views.  No submatrix is ever copied outside of packing.
 //
-// The element type is a template parameter; `MatView`/`ConstMatView` remain
-// the double aliases the bulk of the tree uses, and the `*F32` aliases serve
-// the single-precision path (the element type is otherwise a *runtime* plan
-// property — see src/gemm/dtype.h).
+// The element type is a template parameter (double or float; see
+// src/gemm/dtype.h).  `MatView`/`ConstMatView` are the double spellings.
+//
+// Public entry points that take C, A and B are templated on the element type
+// and deduce it from C alone: A and B are `ConstMatViewT<NoDeduce<T>>`, so a
+// writable `a.view()` still converts implicitly to the const view.
 
 #include <cassert>
 #include <cstdint>
@@ -18,6 +20,14 @@
 namespace fmm {
 
 using index_t = std::int64_t;
+
+// C++17 stand-in for std::type_identity_t: puts T in a non-deduced context.
+template <typename T>
+struct TypeIdentity {
+  using type = T;
+};
+template <typename T>
+using NoDeduce = typename TypeIdentity<T>::type;
 
 // Read-only view: `rows x cols` elements, row i starting at data + i*stride.
 template <typename T>

@@ -1,6 +1,7 @@
 #pragma once
 
-// Owning row-major matrix with cache-line-aligned storage.
+// Owning row-major matrix with cache-line-aligned storage, templated on the
+// element type (double or float); `Matrix` is the double spelling.
 
 #include <algorithm>
 
@@ -10,24 +11,25 @@
 
 namespace fmm {
 
-class Matrix {
+template <typename T>
+class MatrixT {
  public:
-  Matrix() = default;
+  MatrixT() = default;
 
   // Allocates rows x cols; `stride` defaults to cols (dense).  A larger
   // stride can be requested to test strided-view code paths.
-  Matrix(index_t rows, index_t cols, index_t stride = 0)
+  MatrixT(index_t rows, index_t cols, index_t stride = 0)
       : rows_(rows), cols_(cols), stride_(stride == 0 ? cols : stride) {
     buf_.resize(static_cast<std::size_t>(rows_ * stride_));
   }
 
-  Matrix(Matrix&&) = default;
-  Matrix& operator=(Matrix&&) = default;
+  MatrixT(MatrixT&&) = default;
+  MatrixT& operator=(MatrixT&&) = default;
 
   // Deep copy is explicit to keep accidental copies of multi-GB operands
   // out of the benchmark harness.
-  Matrix clone() const {
-    Matrix out(rows_, cols_, stride_);
+  MatrixT clone() const {
+    MatrixT out(rows_, cols_, stride_);
     // copy_n, not memcpy: an empty matrix has a null buffer.
     std::copy_n(data(), rows_ * stride_, out.data());
     return out;
@@ -37,38 +39,42 @@ class Matrix {
   index_t cols() const { return cols_; }
   index_t stride() const { return stride_; }
 
-  double* data() { return buf_.data(); }
-  const double* data() const { return buf_.data(); }
+  T* data() { return buf_.data(); }
+  const T* data() const { return buf_.data(); }
 
-  double& operator()(index_t i, index_t j) { return buf_[i * stride_ + j]; }
-  double operator()(index_t i, index_t j) const { return buf_[i * stride_ + j]; }
+  T& operator()(index_t i, index_t j) { return buf_[i * stride_ + j]; }
+  T operator()(index_t i, index_t j) const { return buf_[i * stride_ + j]; }
 
-  MatView view() { return MatView(data(), rows_, cols_, stride_); }
-  ConstMatView view() const { return ConstMatView(data(), rows_, cols_, stride_); }
-  ConstMatView cview() const { return view(); }
+  MatViewT<T> view() { return MatViewT<T>(data(), rows_, cols_, stride_); }
+  ConstMatViewT<T> view() const {
+    return ConstMatViewT<T>(data(), rows_, cols_, stride_);
+  }
+  ConstMatViewT<T> cview() const { return view(); }
 
-  void set_zero() { std::fill_n(data(), rows_ * stride_, 0.0); }
+  void set_zero() { std::fill_n(data(), rows_ * stride_, T(0)); }
 
-  void fill(double v) {
+  void fill(T v) {
     for (index_t i = 0; i < rows_; ++i)
       for (index_t j = 0; j < cols_; ++j) (*this)(i, j) = v;
   }
 
-  // Uniform entries in [-1, 1): the standard dense-kernel test/benchmark fill.
+  // Uniform entries in [-1, 1), drawn in double and rounded to T: the
+  // standard dense-kernel test/benchmark fill.
   void fill_random(std::uint64_t seed) {
     Xoshiro256 rng(seed);
     for (index_t i = 0; i < rows_; ++i)
-      for (index_t j = 0; j < cols_; ++j) (*this)(i, j) = rng.uniform(-1.0, 1.0);
+      for (index_t j = 0; j < cols_; ++j)
+        (*this)(i, j) = static_cast<T>(rng.uniform(-1.0, 1.0));
   }
 
-  static Matrix random(index_t rows, index_t cols, std::uint64_t seed) {
-    Matrix m(rows, cols);
+  static MatrixT random(index_t rows, index_t cols, std::uint64_t seed) {
+    MatrixT m(rows, cols);
     m.fill_random(seed);
     return m;
   }
 
-  static Matrix zero(index_t rows, index_t cols) {
-    Matrix m(rows, cols);
+  static MatrixT zero(index_t rows, index_t cols) {
+    MatrixT m(rows, cols);
     m.set_zero();
     return m;
   }
@@ -77,7 +83,9 @@ class Matrix {
   index_t rows_ = 0;
   index_t cols_ = 0;
   index_t stride_ = 0;
-  AlignedBuffer<double> buf_;
+  AlignedBuffer<T> buf_;
 };
+
+using Matrix = MatrixT<double>;
 
 }  // namespace fmm

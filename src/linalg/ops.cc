@@ -5,34 +5,6 @@
 
 namespace fmm {
 
-double max_abs_diff(ConstMatView a, ConstMatView b) {
-  assert(a.rows() == b.rows() && a.cols() == b.cols());
-  double worst = 0.0;
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const double* pa = a.row(i);
-    const double* pb = b.row(i);
-    for (index_t j = 0; j < a.cols(); ++j) {
-      double d = std::fabs(pa[j] - pb[j]);
-      if (d > worst) worst = d;
-    }
-  }
-  return worst;
-}
-
-double max_abs_diff(ConstMatViewF32 a, ConstMatViewF32 b) {
-  assert(a.rows() == b.rows() && a.cols() == b.cols());
-  double worst = 0.0;
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const float* pa = a.row(i);
-    const float* pb = b.row(i);
-    for (index_t j = 0; j < a.cols(); ++j) {
-      double d = std::fabs(static_cast<double>(pa[j]) - pb[j]);
-      if (d > worst) worst = d;
-    }
-  }
-  return worst;
-}
-
 double max_abs(ConstMatView a) {
   double worst = 0.0;
   for (index_t i = 0; i < a.rows(); ++i) {

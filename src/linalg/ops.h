@@ -3,15 +3,35 @@
 // Small dense operations on views: comparisons, axpy-style updates, and the
 // dense solvers used by the ALS search (Cholesky on small Gram matrices).
 
+#include <cassert>
+#include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "src/linalg/mat_view.h"
 
 namespace fmm {
 
-// max_ij |a(i,j) - b(i,j)|; shapes must match.
-double max_abs_diff(ConstMatView a, ConstMatView b);
-double max_abs_diff(ConstMatViewF32 a, ConstMatViewF32 b);
+// max_ij |a(i,j) - b(i,j)|, taken in double; shapes must match.  Either
+// argument may be a MatViewT or a ConstMatViewT (so neither can anchor the
+// deduction of T); both must have the same element type.
+template <typename ViewA, typename ViewB>
+double max_abs_diff(const ViewA& a, const ViewB& b) {
+  static_assert(std::is_same_v<std::decay_t<decltype(*a.data())>,
+                               std::decay_t<decltype(*b.data())>>,
+                "max_abs_diff: operands differ in element type");
+  assert(a.rows() == b.rows() && a.cols() == b.cols());
+  double worst = 0.0;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    const auto* pa = a.row(i);
+    const auto* pb = b.row(i);
+    for (index_t j = 0; j < a.cols(); ++j) {
+      const double d = std::fabs(static_cast<double>(pa[j]) - pb[j]);
+      if (d > worst) worst = d;
+    }
+  }
+  return worst;
+}
 
 // max_ij |a(i,j)|.
 double max_abs(ConstMatView a);

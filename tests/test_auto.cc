@@ -1,7 +1,6 @@
 // Engine auto-path tests: correctness, gemm fallback on small problems,
 // decision caching, shape-sensitivity of the choice, and the executed-
-// decision report.  (The deprecated AutoMultiplier wrapper over this path
-// is covered in test_shims.cc.)
+// decision report.
 
 #include <gtest/gtest.h>
 
@@ -74,6 +73,10 @@ TEST_F(AutoTest, MultiplyReportsExecutedDecision) {
   ASSERT_TRUE(engine().multiply(c.view(), a.view(), b.view(), &executed).ok());
   ASSERT_NE(executed, nullptr);
   EXPECT_FALSE(executed->description.empty());
+  // A what-if probe at another shape leaves the report alone, and the
+  // report is the decision choice_for gives for the executed shape.
+  (void)engine().choice_for(16384, 16384, 16384);
+  EXPECT_EQ(executed->description, engine().choice_for(96, 96, 48).description);
 }
 
 TEST_F(AutoTest, NonSquareShapesGetDistinctDecisions) {

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -59,6 +61,93 @@ TEST(EngineExplicit, BitwiseIdenticalToDirectExecutor) {
   FmmExecutor exec(plan, s, s, s, engine.config());
   exec.run(c_direct.view(), p.a.view(), p.b.view());
   EXPECT_EQ(max_abs_diff(p.c.view(), c_direct.view()), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The element-type-templated front door: every single-request form and every
+// BatchSpec factory, for both element types and with writable A/B views,
+// lands on the same execution as the synchronous multiply(plan, c, a, b).
+// Auto forms are held to the synchronous auto multiply (same engine, so the
+// same cached choice; history off so no measurement can flip it).
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class EngineFrontDoor : public ::testing::Test {};
+using FrontDoorTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(EngineFrontDoor, FrontDoorTypes);
+
+TYPED_TEST(EngineFrontDoor, EveryFormMatchesSynchronousMultiplyBitwise) {
+  using T = TypeParam;
+  using Mat = MatrixT<T>;
+  Engine::Options opts;
+  opts.history = false;
+  Engine engine(opts);
+  const Plan plan = strassen_plan();
+  const GemmConfig cfg = engine.config();  // same key as the default form
+  const index_t m = 48, n = 40, k = 56;
+  auto p = test::random_problem<T>(m, n, k, 71);
+  MatViewT<T> a = p.a.view(), b = p.b.view();  // writable on purpose
+  const std::size_t item_bytes = sizeof(T) * static_cast<std::size_t>(m * n);
+
+  Mat want = p.c.clone();
+  ASSERT_TRUE(engine.multiply(plan, want.view(), a, b).ok());
+  Mat want_auto = p.c.clone();
+  ASSERT_TRUE(engine.multiply(want_auto.view(), a, b).ok());
+
+  // One form on a fresh copy of C, compared with `expect` bit for bit.
+  auto check = [&](const Mat& expect, const char* form, auto&& call) {
+    Mat c = p.c.clone();
+    ASSERT_TRUE(call(c.view()).ok()) << form;
+    EXPECT_EQ(std::memcmp(c.data(), expect.data(), item_bytes), 0) << form;
+  };
+  std::shared_ptr<const AutoChoice> executed;
+  check(want, "multiply(plan, c, a, b, cfg)",
+        [&](MatViewT<T> c) { return engine.multiply(plan, c, a, b, cfg); });
+  check(want_auto, "multiply(c, a, b)",
+        [&](MatViewT<T> c) { return engine.multiply(c, a, b); });
+  check(want_auto, "multiply(c, a, b, &executed)", [&](MatViewT<T> c) {
+    return engine.multiply(c, a, b, &executed);
+  });
+  EXPECT_NE(executed, nullptr);
+  check(want, "submit(plan, c, a, b)", [&](MatViewT<T> c) {
+    return engine.submit(plan, c, a, b).status();
+  });
+  check(want, "submit(plan, c, a, b, cfg)", [&](MatViewT<T> c) {
+    return engine.submit(plan, c, a, b, cfg).status();
+  });
+  check(want_auto, "submit(c, a, b)", [&](MatViewT<T> c) {
+    return engine.submit(c, a, b).status();
+  });
+
+  // The three BatchSpec factories, two writable-A/B items each; the
+  // strided batch stacks its C items over one shared A and B.
+  Mat c0 = p.c.clone(), c1 = p.c.clone();
+  const BatchItemT<T> items[2] = {{c0.view(), a, b}, {c1.view(), a, b}};
+  ASSERT_TRUE(engine.multiply(plan, BatchSpec::items(items, 2)).ok());
+  Mat c2 = p.c.clone(), c3 = p.c.clone();
+  const std::vector<BatchItemT<T>> item_vec = {{c2.view(), a, b},
+                                               {c3.view(), a, b}};
+  ASSERT_TRUE(
+      engine.submit(plan, BatchSpec::items(item_vec), cfg).status().ok());
+  Mat cs(2 * m, n);
+  std::copy_n(p.c.data(), m * n, cs.data());
+  std::copy_n(p.c.data(), m * n, cs.data() + m * n);
+  StridedBatchT<T> sb;
+  sb.m = m;
+  sb.n = n;
+  sb.k = k;
+  sb.count = 2;
+  sb.c = cs.data();
+  sb.a = p.a.data();
+  sb.b = p.b.data();
+  sb.stride_c = m * n;
+  ASSERT_TRUE(engine.multiply(plan, BatchSpec::strided(sb)).ok());
+  const T* outs[] = {c0.data(), c1.data(), c2.data(),
+                     c3.data(), cs.data(), cs.data() + m * n};
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(std::memcmp(outs[i], want.data(), item_bytes), 0)
+        << "batch output " << i << " of items(ptr), items(vector), strided";
+  }
 }
 
 TEST(EngineCache, HitMissEvictionAccounting) {
@@ -148,6 +237,22 @@ TEST(EngineCache, DistinctPlansCoefficientsAndConfigsKeySeparately) {
   EXPECT_GE(st2.hits, 2u);
   ref_gemm(p.want.view(), p.a.view(), p.b.view());
   EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()), test::tol_for(s));
+
+  // Alternating two same-dims plans keeps both cached: no recompiles.
+  for (int rep = 0; rep < 3; ++rep) {
+    p.c.set_zero();
+    ASSERT_TRUE(
+        engine.multiply(strassen_plan(), p.c.view(), p.a.view(), p.b.view())
+            .ok());
+    p.c.set_zero();
+    ASSERT_TRUE(engine
+                    .multiply(make_plan({make_winograd()}, Variant::kABC),
+                              p.c.view(), p.a.view(), p.b.view())
+                    .ok());
+  }
+  auto st3 = engine.stats();
+  EXPECT_EQ(st3.misses, st2.misses);
+  EXPECT_EQ(st3.hits, st2.hits + 6);
 }
 
 TEST(EngineCache, EnvKnobSetsDefaultCapacity) {
@@ -187,6 +292,27 @@ TEST(EngineStatus, ShapeMismatchIsRecoverable) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidShape);
   EXPECT_NE(st.message().find("conform"), std::string::npos) << st.to_string();
   // Nothing was written.
+  EXPECT_EQ(max_abs_diff(c.view(), Matrix::zero(32, 32).view()), 0.0);
+
+  // Conforming views whose row span, (rows - 1) * stride + cols, does not
+  // fit index_t: rejected before the span is formed (and before any
+  // pointer is dereferenced).
+  const index_t huge = std::numeric_limits<index_t>::max() / 2;
+  struct Case {
+    index_t m, ldc, lda;
+  };
+  for (const Case& cs : {Case{huge, 32, 48},   // rows * stride
+                         Case{32, huge, 48},   // C row stride
+                         Case{32, 32, huge},   // A row stride
+                         Case{2, std::numeric_limits<index_t>::max(), 48}}) {
+    const Status big = engine.multiply(
+        plan, MatView(c.data(), cs.m, 32, cs.ldc),
+        ConstMatView(a.data(), cs.m, 48, cs.lda),
+        ConstMatView(b.data(), 48, 32, 32));
+    EXPECT_EQ(big.code(), StatusCode::kInvalidShape)
+        << "m=" << cs.m << " ldc=" << cs.ldc << " lda=" << cs.lda << ": "
+        << big.to_string();
+  }
   EXPECT_EQ(max_abs_diff(c.view(), Matrix::zero(32, 32).view()), 0.0);
 }
 
@@ -305,8 +431,35 @@ TEST(EngineStatus, StridedBatchBadStridesAreRecoverable) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidStride);
 
-  // All strides fixed: the same descriptor now runs.
+  // Extents whose item offsets do not fit index_t: rejected before the
+  // overflowing offset is formed.
   sb.stride_a = s * s;
+  const index_t huge = std::numeric_limits<index_t>::max() / 2;
+  sb.ldc = huge;  // (m - 1) * ldc + n
+  st = engine.multiply(plan, BatchSpec::strided(sb));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidShape) << st.to_string();
+  sb.ldc = 0;
+  sb.stride_c = huge;  // (count - 1) * stride_c + item span
+  st = engine.multiply(plan, BatchSpec::strided(sb));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidShape) << st.to_string();
+  sb.stride_c = s * s;
+  sb.stride_b = huge;  // the same for B
+  st = engine.multiply(plan, BatchSpec::strided(sb));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidShape) << st.to_string();
+  sb.stride_b = 0;
+  sb.count = std::numeric_limits<std::size_t>::max();  // count > index_t
+  st = engine.multiply(plan, BatchSpec::strided(sb));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidShape) << st.to_string();
+  sb.count = static_cast<std::size_t>(std::numeric_limits<index_t>::max() /
+                                      (s * s)) +
+             2;  // (count - 1) * stride_c alone
+
+  st = engine.multiply(plan, BatchSpec::strided(sb));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidShape) << st.to_string();
+  sb.count = 3;
+  EXPECT_EQ(max_abs_diff(c.view(), Matrix::zero(3 * s, s).view()), 0.0);
+
+  // All strides fixed: the same descriptor now runs.
   st = engine.multiply(plan, BatchSpec::strided(sb));
   EXPECT_TRUE(st.ok()) << st.to_string();
 }

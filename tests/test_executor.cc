@@ -27,7 +27,7 @@ Plan strassen_plan(Variant v = Variant::kABC) {
 }
 
 // ---------------------------------------------------------------------------
-// Correctness and equivalence with the legacy entry point.
+// Correctness and equivalence with the Engine path.
 // ---------------------------------------------------------------------------
 
 class ExecutorVariant : public ::testing::TestWithParam<Variant> {};

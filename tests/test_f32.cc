@@ -26,11 +26,8 @@
 namespace fmm {
 namespace {
 
-using test::FloatMat;
 using test::random_problem;
-using test::random_problem_f32;
 using test::RandomProblem;
-using test::RandomProblemF32;
 using test::tol_classical_f32;
 using test::tol_for_f32;
 
@@ -68,11 +65,13 @@ Plan two_level_plan(Variant v = Variant::kABC) {
   return make_plan({catalog::best(2, 2, 2), catalog::best(2, 2, 2)}, v);
 }
 
-void expect_bitwise_equal_f32(const FloatMat& x, const FloatMat& y) {
-  ASSERT_EQ(x.rows, y.rows);
-  ASSERT_EQ(x.cols, y.cols);
-  EXPECT_EQ(std::memcmp(x.data.data(), y.data.data(),
-                        x.data.size() * sizeof(float)),
+void expect_bitwise_equal_f32(const MatrixT<float>& x,
+                              const MatrixT<float>& y) {
+  ASSERT_EQ(x.rows(), y.rows());
+  ASSERT_EQ(x.cols(), y.cols());
+  EXPECT_EQ(std::memcmp(x.data(), y.data(),
+                        static_cast<std::size_t>(x.rows() * x.stride()) *
+                            sizeof(float)),
             0);
 }
 
@@ -88,7 +87,7 @@ TEST(F32Gemm, EveryF32KernelMatchesReference) {
     cfg.kernel = &kern;
     cfg.num_threads = 1;
     const index_t m = 37, n = 29, k = 41;  // prime-ish: edge tiles everywhere
-    RandomProblemF32 p = random_problem_f32(m, n, k, 7, /*zero_c=*/true);
+    auto p = random_problem<float>(m, n, k, 7, /*zero_c=*/true);
     gemm(p.c.view(), p.a.cview(), p.b.cview(), cfg);
     ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
     EXPECT_LE(max_abs_diff(p.c.cview(), p.want.cview()), tol_classical_f32(k))
@@ -103,7 +102,7 @@ TEST(F32Gemm, PlanPinnedF32KernelIsHonored) {
     if (kern.dtype != DType::kF32 || !kern.supported()) continue;
     Plan plan = base;
     plan.kernel = &kern;
-    RandomProblemF32 p = random_problem_f32(m, n, k, 17);
+    auto p = random_problem<float>(m, n, k, 17);
     ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
     ASSERT_TRUE(
         default_engine().multiply(plan, p.c.view(), p.a.cview(), p.b.cview())
@@ -122,7 +121,7 @@ TEST(F32Engine, ExplicitPlanMatchesReference) {
   for (int levels = 1; levels <= 2; ++levels) {
     const Plan plan = levels == 1 ? one_level_plan() : two_level_plan();
     const index_t m = 96, n = 88, k = 72;
-    RandomProblemF32 p = random_problem_f32(m, n, k, 100 + levels);
+    auto p = random_problem<float>(m, n, k, 100 + levels);
     ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
     const Status st = engine.multiply(plan, p.c.view(), p.a.cview(), p.b.cview());
     ASSERT_TRUE(st.ok()) << st.to_string();
@@ -135,7 +134,7 @@ TEST(F32Engine, ExplicitPlanMatchesReference) {
 TEST(F32Engine, AutoPathSelectsAndReports) {
   Engine engine;
   const index_t m = 64, n = 64, k = 64;
-  RandomProblemF32 p = random_problem_f32(m, n, k, 5);
+  auto p = random_problem<float>(m, n, k, 5);
   ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
   std::shared_ptr<const AutoChoice> executed;
   const Status st = engine.multiply(p.c.view(), p.a.cview(), p.b.cview(),
@@ -155,7 +154,7 @@ TEST(F32Engine, AllVariantsMatchReference) {
   const index_t m = 80, n = 76, k = 68;
   for (Variant v : {Variant::kABC, Variant::kAB, Variant::kNaive}) {
     const Plan plan = one_level_plan(v);
-    RandomProblemF32 p = random_problem_f32(m, n, k, 200 + static_cast<int>(v));
+    auto p = random_problem<float>(m, n, k, 200 + static_cast<int>(v));
     ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
     ASSERT_TRUE(
         engine.multiply(plan, p.c.view(), p.a.cview(), p.b.cview()).ok());
@@ -167,10 +166,10 @@ TEST(F32Engine, AllVariantsMatchReference) {
 TEST(F32Engine, ItemBatchIncludingCrossShape) {
   Engine engine;
   const Plan plan = one_level_plan();
-  std::vector<RandomProblemF32> probs;
-  probs.push_back(random_problem_f32(40, 40, 40, 301));
-  probs.push_back(random_problem_f32(40, 40, 40, 302));
-  probs.push_back(random_problem_f32(56, 32, 48, 303));  // second shape group
+  std::vector<test::RandomProblemT<float>> probs;
+  probs.push_back(random_problem<float>(40, 40, 40, 301));
+  probs.push_back(random_problem<float>(40, 40, 40, 302));
+  probs.push_back(random_problem<float>(56, 32, 48, 303));  // 2nd shape group
   std::vector<BatchItemF32> items;
   for (auto& p : probs) {
     ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
@@ -189,27 +188,27 @@ TEST(F32Engine, StridedBatchMatchesPerItemReference) {
   Engine engine;
   const index_t m = 32, n = 28, k = 36;
   const std::size_t count = 5;
-  FloatMat a = FloatMat::random(static_cast<index_t>(count) * m, k, 401);
-  FloatMat b = FloatMat::random(static_cast<index_t>(count) * k, n, 402);
-  FloatMat c = FloatMat::zero(static_cast<index_t>(count) * m, n);
+  auto a = MatrixT<float>::random(static_cast<index_t>(count) * m, k, 401);
+  auto b = MatrixT<float>::random(static_cast<index_t>(count) * k, n, 402);
+  auto c = MatrixT<float>::zero(static_cast<index_t>(count) * m, n);
   StridedBatchF32 sb;
   sb.m = m;
   sb.n = n;
   sb.k = k;
   sb.count = count;
-  sb.c = c.data.data();
-  sb.a = a.data.data();
-  sb.b = b.data.data();
+  sb.c = c.data();
+  sb.a = a.data();
+  sb.b = b.data();
   sb.stride_c = m * n;
   sb.stride_a = m * k;
   sb.stride_b = k * n;
   ASSERT_TRUE(engine.multiply(BatchSpec::strided(sb)).ok());
   for (std::size_t i = 0; i < count; ++i) {
-    FloatMat want = FloatMat::zero(m, n);
-    ConstMatViewF32 ai(a.data.data() + i * sb.stride_a, m, k, k);
-    ConstMatViewF32 bi(b.data.data() + i * sb.stride_b, k, n, n);
+    auto want = MatrixT<float>::zero(m, n);
+    ConstMatViewF32 ai(a.data() + i * sb.stride_a, m, k, k);
+    ConstMatViewF32 bi(b.data() + i * sb.stride_b, k, n, n);
     ref_gemm(want.view(), ai, bi);
-    ConstMatViewF32 ci(c.data.data() + i * sb.stride_c, m, n, n);
+    ConstMatViewF32 ci(c.data() + i * sb.stride_c, m, n, n);
     EXPECT_LE(max_abs_diff(ci, want.cview()), tol_for_f32(k, 2))
         << "item " << i;
   }
@@ -219,8 +218,8 @@ TEST(F32Engine, AsyncSubmitMatchesSynchronousBits) {
   Engine engine;
   const Plan plan = one_level_plan();
   const index_t m = 64, n = 64, k = 64;
-  RandomProblemF32 p = random_problem_f32(m, n, k, 501);
-  RandomProblemF32 q = p;  // identical operands and C seed
+  auto p = random_problem<float>(m, n, k, 501);
+  auto q = random_problem<float>(m, n, k, 501);  // identical operands
   ASSERT_TRUE(
       engine.multiply(plan, p.c.view(), p.a.cview(), p.b.cview()).ok());
   TaskFuture f = engine.submit(plan, q.c.view(), q.a.cview(), q.b.cview());
@@ -238,13 +237,13 @@ TEST(F32Recursive, GraphBitwiseMatchesSequentialOracle) {
   const Plan plan = one_level_plan();
   const index_t n = 60;
   const index_t cutoff = 16;
-  RandomProblemF32 p = random_problem_f32(n, n, n, 23);
+  auto p = random_problem<float>(n, n, n, 23);
   BufferPool buffers;
   GemmConfig cfg;
   cfg.num_threads = 1;
 
   auto make_ctx = [&](TaskPool* pool) {
-    RecursiveExecF32 ctx;
+    RecursiveExecT<float> ctx;
     ctx.pool = pool;
     ctx.buffers = &buffers;
     ctx.cutoff = cutoff;
@@ -256,18 +255,18 @@ TEST(F32Recursive, GraphBitwiseMatchesSequentialOracle) {
     return ctx;
   };
 
-  FloatMat c_seq = p.c.clone();
+  MatrixT<float> c_seq = p.c.clone();
   {
-    RecursiveExecF32 ctx = make_ctx(nullptr);
+    RecursiveExecT<float> ctx = make_ctx(nullptr);
     run_recursive_sequential(ctx, plan, c_seq.view(), p.a.cview(),
                              p.b.cview());
   }
 
   for (int workers : {1, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    FloatMat c = p.c.clone();
+    MatrixT<float> c = p.c.clone();
     TaskPool pool(workers);
-    RecursiveExecF32 ctx = make_ctx(&pool);
+    RecursiveExecT<float> ctx = make_ctx(&pool);
     TaskFuture f =
         submit_recursive(ctx, plan, c.view(), p.a.cview(), p.b.cview());
     f.wait();
@@ -286,7 +285,7 @@ TEST(F32Recursive, EngineDescentMatchesReference) {
   Engine engine(o);
   const Plan plan = two_level_plan();
   const index_t n = 96;
-  RandomProblemF32 p = random_problem_f32(n, n, n, 31);
+  auto p = random_problem<float>(n, n, n, 31);
   ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
   const auto runs0 = engine.stats().recursive_runs;
   ASSERT_TRUE(
@@ -305,7 +304,7 @@ TEST(MixedDtype, ExecutorCacheNeverCrossesDtypes) {
   const Plan plan = one_level_plan();
   const index_t m = 64, n = 64, k = 64;
   RandomProblem pd = random_problem(m, n, k, 601);
-  RandomProblemF32 pf = random_problem_f32(m, n, k, 602);
+  auto pf = random_problem<float>(m, n, k, 602);
 
   ASSERT_TRUE(
       engine.multiply(plan, pd.c.view(), pd.a.view(), pd.b.view()).ok());

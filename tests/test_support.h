@@ -20,7 +20,6 @@
 #include "src/linalg/matrix.h"
 #include "src/linalg/ops.h"
 #include "src/util/env.h"
-#include "src/util/prng.h"
 
 namespace fmm {
 namespace test {
@@ -57,57 +56,23 @@ inline double tol_for_f32(index_t k, int levels = 1) {
 // Random-problem builders.
 // --------------------------------------------------------------------------
 
-// A GEMM-shaped problem with random operands.  `c` is the output the engine
-// under test writes into and `want` starts as an identical copy for the
-// reference path, so C-accumulation (C += A*B) is exercised by default.
-struct RandomProblem {
-  Matrix a, b, c, want;
+// A GEMM-shaped problem with random operands of element type T.  `c` is
+// the output the engine under test writes into and `want` starts as an
+// identical copy for the reference path, so C-accumulation (C += A*B) is
+// exercised by default.
+template <typename T = double>
+struct RandomProblemT {
+  MatrixT<T> a, b, c, want;
 };
+using RandomProblem = RandomProblemT<double>;
 
-inline RandomProblem random_problem(index_t m, index_t n, index_t k,
-                                    std::uint64_t seed, bool zero_c = false) {
-  RandomProblem p{Matrix::random(m, k, seed), Matrix::random(k, n, seed + 1),
-                  zero_c ? Matrix::zero(m, n) : Matrix::random(m, n, seed + 2),
-                  Matrix()};
-  p.want = p.c.clone();
-  return p;
-}
-
-// The f32 twin.  Matrix is double-only, so the storage is plain vectors; a
-// FloatMat is just enough owner to hand out typed views.
-struct FloatMat {
-  std::vector<float> data;
-  index_t rows = 0, cols = 0;
-
-  static FloatMat random(index_t r, index_t c, std::uint64_t seed) {
-    FloatMat m{std::vector<float>(static_cast<std::size_t>(r) * c), r, c};
-    Xoshiro256 rng(seed);
-    for (auto& v : m.data) v = static_cast<float>(rng.uniform(-1, 1));
-    return m;
-  }
-  static FloatMat zero(index_t r, index_t c) {
-    return FloatMat{std::vector<float>(static_cast<std::size_t>(r) * c, 0.0f),
-                    r, c};
-  }
-  FloatMat clone() const { return *this; }
-
-  MatViewF32 view() { return MatViewF32(data.data(), rows, cols, cols); }
-  ConstMatViewF32 cview() const {
-    return ConstMatViewF32(data.data(), rows, cols, cols);
-  }
-};
-
-struct RandomProblemF32 {
-  FloatMat a, b, c, want;
-};
-
-inline RandomProblemF32 random_problem_f32(index_t m, index_t n, index_t k,
-                                           std::uint64_t seed,
-                                           bool zero_c = false) {
-  RandomProblemF32 p{
-      FloatMat::random(m, k, seed), FloatMat::random(k, n, seed + 1),
-      zero_c ? FloatMat::zero(m, n) : FloatMat::random(m, n, seed + 2),
-      FloatMat()};
+template <typename T = double>
+RandomProblemT<T> random_problem(index_t m, index_t n, index_t k,
+                                 std::uint64_t seed, bool zero_c = false) {
+  RandomProblemT<T> p{
+      MatrixT<T>::random(m, k, seed), MatrixT<T>::random(k, n, seed + 1),
+      zero_c ? MatrixT<T>::zero(m, n) : MatrixT<T>::random(m, n, seed + 2),
+      MatrixT<T>()};
   p.want = p.c.clone();
   return p;
 }
