@@ -4,9 +4,10 @@
 // cores:
 //   * data-parallel ABC (the paper's scheme: parallel 3rd/2nd loop),
 //   * data-parallel Naive,
-//   * task-parallel: one recursive level (an Engine whose recurse_cutoff
-//     lets the one-level plan descend): one TaskPool task per product M_r,
-//     serial GEMM inside — the structure of Benson & Ballard [1].
+//   * task-parallel (the "task" column): one recursive level (an Engine
+//     whose recurse_cutoff lets the one-level plan descend): the products
+//     M_r shared among the pool's workers, serial GEMM inside each — the
+//     product-level parallelism of Benson & Ballard [1].
 
 #include <algorithm>
 #include <cstdio>

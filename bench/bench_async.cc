@@ -4,8 +4,9 @@
 //   mix      — one cross-shape batch (G shape groups interleaved
 //              round-robin, K items per group) submitted as a single
 //              BatchSpec.  multiply() runs the groups sequentially; the
-//              async path fans every group out to its cached executor as
-//              an independent task, so groups overlap across pool workers.
+//              async path runs the batch as one task whose fork-join
+//              region gives each group (and its cached executor) to a
+//              pool worker, so groups overlap.
 //   pipeline — G independent shared-B batches.  The synchronous loop
 //              drains each batch before starting the next; submit() queues
 //              all G and wait_all() drains them together, overlapping
@@ -133,8 +134,8 @@ int main(int argc, char** argv) {
       run_seq();
     });
 
-    // Async path: the whole mixed batch in one submit; the engine fans the
-    // shape groups out as independent tasks.
+    // Async path: the whole mixed batch in one submit; the engine shares
+    // the shape groups among the pool's workers.
     mx.zero_outputs();
     TaskFuture f = engine.submit(plan, BatchSpec::items(mx.items));
     if (!f.status().ok()) {

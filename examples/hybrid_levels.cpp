@@ -1,10 +1,10 @@
-// Multi-level plans & task-recursive descent — where each regime runs.
+// Multi-level plans & recursive descent — where each regime runs.
 //
 // An engine call picks one of three execution regimes by size:
 //
-//   min(m,n,k) >  cutoff   task-recursive descent: one plan level expands
-//                          into TaskPool tasks over quadrant views, then
-//                          recurses on the subproblems;
+//   min(m,n,k) >  cutoff   recursive descent: one plan level runs its
+//                          products over quadrant views on the pool's
+//                          workers, each recursing on its subproblem;
 //   min(m,n,k) <= cutoff   compiled fast leaf: the remaining levels run
 //                          as one cached, serial FmmExecutor;
 //   fringes / levels out   plain GEMM slivers.
@@ -13,9 +13,9 @@
 // §5.2: different algorithms on different levels, e.g. <2,2,2>+<2,3,2>
 // when k splits 2x3), then runs each through two engines — descent
 // disabled vs descent at --cutoff — and reports which regime fired and
-// what it cost.  It also shows the determinism contract: a fixed task
-// graph is bitwise reproducible run-to-run, and with the cutoff at the
-// problem size the recursive engine is bitwise identical to flat.
+// what it cost.  It also shows the determinism contract: recursive runs
+// are bitwise reproducible run-to-run, and with the cutoff at the problem
+// size the recursive engine is bitwise identical to flat.
 //
 //   $ ./hybrid_levels --n 1536 --cutoff 384
 //   $ FMM_RECURSE_CUTOFF=512 ./hybrid_levels     # env default, same knob
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   recursive.stats().recursive_runs));
 
-  // Determinism, part 1: a fixed task graph is bitwise reproducible —
+  // Determinism, part 1: the recursive driver is bitwise reproducible —
   // same bits across runs, schedules, and worker interleavings.
   const Plan& two_level = entries[2].plan;
   Matrix r1 = Matrix::zero(n, n);

@@ -1,39 +1,35 @@
-// Domain example: tiled dataflow LU factorization on the task pool, with
-// every Schur-complement update running through the FMM poly-algorithm.
+// Domain example: tiled LU factorization on the task pool's fork-join
+// teams, with every Schur-complement update running through the FMM
+// poly-algorithm.
 //
-// The matrix is tiled into T x T blocks and the classic four-kernel
-// pipeline (the dw_factolu decomposition from the StarPU examples) is
-// submitted as one task graph up front, wired purely by tag dependencies:
+// The matrix is tiled into T x T blocks and each step k of the classic
+// right-looking factorization is three data-parallel phases:
 //
-//   getrf(k)     : unblocked LU of A(k,k)
-//   trsm12(k,j)  : L(k,k) X = A(k,j)                (row panel, j > k)
-//   trsm21(i,k)  : X U(k,k) = A(i,k), and -A(i,k) is stashed in a scratch
-//                  block so the updates below can run concurrently
-//   gemm(k,i,j)  : A(i,j) += (-A(i,k)) * A(k,j)     (i, j > k)
+//   getrf(k)     : unblocked LU of A(k,k)                (one participant)
+//   trsm         : every tile of row k and column k, in parallel:
+//                  L(k,k) X = A(k,j) for the row panel (j > k), and
+//                  X U(k,k) = A(i,k) for the column panel (i > k), whose
+//                  -A(i,k) is stashed in a scratch block
+//   gemm         : every trailing tile in parallel,
+//                  A(i,j) += (-A(i,k)) * A(k,j)         (i, j > k)
 //
-//   getrf(k) <- gemm(k-1,k,k)
-//   trsm12(k,j) <- getrf(k), gemm(k-1,k,j)
-//   trsm21(i,k) <- getrf(k), gemm(k-1,i,k)
-//   gemm(k,i,j) <- trsm21(i,k), trsm12(k,j), gemm(k-1,i,j)
-//
-// No step-k barrier anywhere: a trailing block whose inputs are ready
-// updates while other step-k panels are still solving, and getrf(k+1)
-// starts as soon as its one block is current.  Priorities keep the
-// critical path (getrf > trsm > gemm, earlier k first) at the queue front.
-// The gemm tasks call Engine::multiply from pool workers — the engine runs
-// those inline (nested submits never block on the pool) with the
+// The whole factorization is one task of the pool opening one region; the
+// end of each ParallelTeam::for_each is the barrier between phases.  The
+// gemm phase calls Engine::multiply from pool workers — the engine runs
+// those inline (nested calls never block on the pool) with the
 // model-selected FMM algorithm for the b x b x b block shape.
 //
 //   $ ./lu_solver --n 2048 --block 256 --workers 0
 //
 // The scratch negation exists because the engine computes C += A * B and
-// several gemm(k,i,j) tasks read A(i,k) concurrently — negating it in
-// place would race; negating once, into the scratch, is part of the
-// trsm21 task.
+// several gemm tiles read A(i,k) at once — negating it in place would
+// race; negating once, into the scratch, is part of the column solve.
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <vector>
 
 #include "src/core/engine.h"
 #include "src/core/task_pool.h"
@@ -84,8 +80,6 @@ void trsm_upper(ConstMatView u, MatView x) {
   }
 }
 
-enum BlockTaskKind { kGetrf = 0, kTrsmRow = 1, kTrsmCol = 2, kGemm = 3 };
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -110,91 +104,64 @@ int main(int argc, char** argv) {
     return m.view().block(row0(i), row0(j), rows(i), rows(j));
   };
 
-  // The engine's multiplies run inside tasks, one per task: internal
-  // threading stays off and the pool provides all the parallelism.
+  // The engine's multiplies run on the team's participants, one tile
+  // each: internal threading stays off and the pool provides all the
+  // parallelism.
   Engine::Options eopts;
   eopts.config.num_threads = 1;
   Engine engine(eopts);
   TaskPool pool(workers);
 
-  auto tag = [T](BlockTaskKind kind, index_t k, index_t i,
-                 index_t j) -> TaskTag {
-    return static_cast<TaskTag>(((k * T + i) * T + j) << 2 |
-                                static_cast<TaskTag>(kind));
-  };
-  // Critical path first: earlier steps beat later ones, getrf beats trsm
-  // beats gemm within a step.
-  auto prio = [T](BlockTaskKind kind, index_t k) {
-    const int kind_rank = kind == kGetrf ? 3 : kind == kGemm ? 1 : 2;
-    return static_cast<int>((T - k) << 2) | kind_rank;
-  };
-
-  std::printf("tiled dataflow LU, n=%lld, tile=%lld (%lldx%lld blocks), "
+  std::printf("tiled fork-join LU, n=%lld, tile=%lld (%lldx%lld blocks), "
               "%d pool workers\n",
               (long long)n, (long long)nb, (long long)T, (long long)T,
               pool.workers());
 
   Timer total;
-  // The whole DAG is submitted up front; tags do the sequencing.
-  for (index_t k = 0; k < T; ++k) {
-    {
-      TaskOptions o;
-      o.tag = tag(kGetrf, k, k, k);
-      if (k > 0) o.deps = {tag(kGemm, k - 1, k, k)};
-      o.priority = prio(kGetrf, k);
-      pool.submit([&a, &block, k] { lu_unblocked(block(a, k, k)); },
-                  std::move(o));
-    }
-    for (index_t j = k + 1; j < T; ++j) {
-      TaskOptions o;
-      o.tag = tag(kTrsmRow, k, k, j);
-      o.deps = {tag(kGetrf, k, k, k)};
-      if (k > 0) o.deps.push_back(tag(kGemm, k - 1, k, j));
-      o.priority = prio(kTrsmRow, k);
-      pool.submit([&a, &block, k, j] {
-        trsm_lower_unit(block(a, k, k), block(a, k, j));
-      }, std::move(o));
-    }
-    for (index_t i = k + 1; i < T; ++i) {
-      TaskOptions o;
-      o.tag = tag(kTrsmCol, k, i, k);
-      o.deps = {tag(kGetrf, k, k, k)};
-      if (k > 0) o.deps.push_back(tag(kGemm, k - 1, i, k));
-      o.priority = prio(kTrsmCol, k);
-      pool.submit([&a, &neg, &block, k, i] {
-        MatView l = block(a, i, k);
-        trsm_upper(block(a, k, k), l);
-        MatView d = block(neg, i, k);
-        for (index_t r = 0; r < l.rows(); ++r) {
-          const double* s = l.row(r);
-          double* dst = d.row(r);
-          for (index_t c = 0; c < l.cols(); ++c) dst[c] = -s[c];
-        }
-      }, std::move(o));
-    }
-    for (index_t i = k + 1; i < T; ++i) {
-      for (index_t j = k + 1; j < T; ++j) {
-        TaskOptions o;
-        o.tag = tag(kGemm, k, i, j);
-        o.deps = {tag(kTrsmCol, k, i, k), tag(kTrsmRow, k, k, j)};
-        if (k > 0) o.deps.push_back(tag(kGemm, k - 1, i, j));
-        o.priority = prio(kGemm, k);
-        pool.submit([&engine, &a, &neg, &block, k, i, j] {
+  std::atomic<int> failed_updates{0};
+  const Status run = pool.submit([&] {
+    pool.parallel_region(0, std::max<index_t>(1, (T - 1) * (T - 1)),
+                         [&](ParallelTeam& team) {
+      for (index_t k = 0; k < T; ++k) {
+        lu_unblocked(block(a, k, k));
+        const index_t rest = T - k - 1;
+        team.for_each(2 * rest, 1, [&](std::int64_t t, int) {
+          if (t < rest) {  // row panel tile (k, j)
+            trsm_lower_unit(block(a, k, k), block(a, k, k + 1 + t));
+            return;
+          }
+          const index_t i = k + 1 + (t - rest);  // column panel tile (i, k)
+          MatView l = block(a, i, k);
+          trsm_upper(block(a, k, k), l);
+          MatView d = block(neg, i, k);
+          for (index_t r = 0; r < l.rows(); ++r) {
+            const double* s = l.row(r);
+            double* dst = d.row(r);
+            for (index_t c = 0; c < l.cols(); ++c) dst[c] = -s[c];
+          }
+        });
+        team.for_each(rest * rest, 1, [&](std::int64_t t, int) {
+          const index_t i = k + 1 + t / rest, j = k + 1 + t % rest;
           // A(i,j) += (-L(i,k)) * U(k,j), model-selected per block shape;
           // runs inline (this is a pool worker).
           const Status st =
               engine.multiply(block(a, i, j), block(neg, i, k), block(a, k, j));
           if (!st.ok()) {
+            failed_updates.fetch_add(1);
             std::fprintf(stderr, "update (%lld,%lld,%lld): %s\n",
                          (long long)k, (long long)i, (long long)j,
                          st.to_string().c_str());
           }
-        }, std::move(o));
+        });
       }
-    }
-  }
-  pool.wait_all();
+    });
+  }).status();
   const double total_s = total.seconds();
+  if (!run.ok() || failed_updates.load() != 0) {
+    std::fprintf(stderr, "factorization failed: %s\n",
+                 run.to_string().c_str());
+    return 1;
+  }
 
   // Validate: reconstruct L*U and compare with the original matrix.
   Matrix l = Matrix::zero(n, n);

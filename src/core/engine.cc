@@ -719,8 +719,9 @@ Status Engine::exec_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
                            std::shared_ptr<const AutoChoice>* executed) {
   constexpr DType kDt = DTypeOf<T>::value;
   const index_t m = c.rows(), n = c.cols(), k = a.cols();
+  std::shared_ptr<const AutoChoice> choice;  // owns *plan on the auto path
   if (plan == nullptr) {
-    std::shared_ptr<const AutoChoice> choice = choice_handle(m, n, k, kDt);
+    choice = choice_handle(m, n, k, kDt);
     if (executed != nullptr) *executed = choice;
     if (choice->use_gemm) {
       // The gemm fallback bypasses FmmExecutor and its timing hook, so the
@@ -730,7 +731,11 @@ Status Engine::exec_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
       record_gemm(m, n, k, cfg, kDt, t.seconds(), 1);
       return Status{};
     }
-    executor_for<T>(*choice->plan, m, n, k, cfg)->run(c, a, b);
+    plan = &*choice->plan;
+  }
+  if (should_recurse(*plan, m, n, k, recurse_cutoff_)) {
+    recursive_runs_->add();
+    run_recursive<T>(recursive_ctx<T>(cfg), *plan, c, a, b);
     return Status{};
   }
   executor_for<T>(*plan, m, n, k, cfg)->run(c, a, b);
@@ -795,17 +800,16 @@ Status Engine::exec_strided(const Plan* plan, const StridedBatchT<T>& sb,
 template <typename T>
 RecursiveExecT<T> Engine::recursive_ctx(const GemmConfig& cfg) {
   RecursiveExecT<T> ctx;
-  ctx.pool = &pool();
   ctx.buffers = &recurse_buffers_;
   ctx.cutoff = recurse_cutoff_;
-  // Leaves run serially — the node's task fan-out is the parallelism — and
+  // Leaves run serially — the node's products are the parallelism — and
   // share the executor cache with every other path.  The cached executor's
-  // slot pool grows to the worker count once, so concurrent leaf tasks
-  // never serialize on workspace leases (nor stall behind a parent call
-  // that holds a slot of the same executor).
+  // slot pool grows to the worker count once, so concurrent leaves never
+  // serialize on workspace leases (nor stall behind a parent call that
+  // holds a slot of the same executor).
   GemmConfig leaf_cfg = cfg;
   leaf_cfg.num_threads = 1;
-  const int slot_target = std::max(1, ctx.pool->workers());
+  const int slot_target = TaskPool::current().workers();
   ctx.leaf = [this, leaf_cfg, slot_target](const Plan* plan, MatViewT<T> c,
                                            ConstMatViewT<T> a,
                                            ConstMatViewT<T> b) {
@@ -846,44 +850,9 @@ TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
     }
     plan = &stamped;
   }
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
-  if (recurse_cutoff_ > 0 && std::min({m, n, k}) > recurse_cutoff_) {
-    // Large shape: resolve the plan now (for the auto path the ranking is
-    // noise next to an out-of-cutoff multiply) so the recursive task graph
-    // can be built host-side instead of inside a queued task.
-    const Plan* rplan = plan;
-    std::shared_ptr<const AutoChoice> choice;
-    if (rplan == nullptr) {
-      choice = choice_handle(m, n, k, kDt);
-      if (!choice->use_gemm) rplan = &*choice->plan;
-    }
-    if (rplan != nullptr && should_recurse(*rplan, m, n, k, recurse_cutoff_)) {
-      if (executed != nullptr && choice) *executed = choice;
-      recursive_runs_->add();
-      const RecursiveExecT<T> ctx = recursive_ctx<T>(cfg);
-      if (TaskPool::on_worker_thread()) {
-        // Nested synchronous call from a task body: the bitwise-identical
-        // sequential twin (building a graph and blocking this worker on
-        // its finalizer could deadlock a fully busy pool).
-        run_recursive_sequential<T>(ctx, *rplan, c, a, b);
-        observe_request(req_path, m, n, k, 1, req_t0);
-        return TaskFuture::ready(Status{});
-      }
-      // The graph's finalizer resolves the future off any single task, so
-      // there is no one completion site to close a span at; the descent is
-      // marked by an instant here and covered by its per-product spans
-      // (recursive.cc) and the TaskPool run spans.
-      if (obs::trace_enabled()) {
-        obs::trace_instant("engine.request.recursive", "engine");
-      }
-      return submit_recursive<T>(ctx, *rplan, c, a, b);
-    }
-    // The model picked plain GEMM (or the plan does not qualify): fall
-    // through to the flat path, which re-resolves the cached choice.
-  }
   if (TaskPool::on_worker_thread()) {
     Status inline_st = exec_single<T>(plan, c, a, b, cfg, executed);
-    observe_request(req_path, m, n, k, 1, req_t0);
+    observe_request(req_path, c.rows(), c.cols(), a.cols(), 1, req_t0);
     return TaskFuture::ready(std::move(inline_st));
   }
   if (plan == nullptr) {
@@ -996,42 +965,31 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
     return TaskFuture::ready(Status{});
   }
 
-  if (groups.size() == 1) {
-    return pool().submit([this, plan_copy, g = std::move(groups.front()), cfg,
-                          req_t0] {
-      Status es = exec_group<T>(plan_copy.get(), g.m, g.n, g.k, g.items.data(),
-                                g.items.size(), cfg);
-      observe_request(RequestPath::kBatch, g.m, g.n, g.k, g.items.size(),
-                      req_t0);
-      return es;
-    });
-  }
-
-  // Cross-shape fan-out: one task per shape group (each hits its own cached
-  // executor), plus a no-op finalizer depending on all of them whose future
-  // is the batch's.  The tag machinery is the aggregation — no shared
-  // counter, and the finalizer resolves only after every group finished.
-  TaskOptions fin_opts;
-  fin_opts.deps.reserve(groups.size());
-  for (Group& g : groups) {
-    TaskOptions opts;
-    opts.tag = pool().fresh_tag();
-    fin_opts.deps.push_back(opts.tag);
-    pool().submit(
-        [this, plan_copy, g = std::move(g), cfg] {
-          return exec_group<T>(plan_copy.get(), g.m, g.n, g.k, g.items.data(),
-                               g.items.size(), cfg);
-        },
-        std::move(opts));
-  }
-  // The finalizer is the batch's completion site: the request span closes
-  // there, covering every group (shape 0x0x0 marks a cross-shape batch).
-  return pool().submit(
-      [this, count, req_t0] {
-        observe_request(RequestPath::kBatch, 0, 0, 0, count, req_t0);
-        return Status{};
-      },
-      std::move(fin_opts));
+  // One task per batch.  Several shape groups share it as a fork-join
+  // region, one group per chunk (each hits its own cached executor), so
+  // the groups overlap even when each multiply runs serially.  The request
+  // span closes here, covering every group (shape 0x0x0 marks a
+  // cross-shape batch).
+  return pool().submit([this, plan_copy, groups = std::move(groups), cfg,
+                        count, req_t0] {
+    std::vector<Status> st(groups.size());
+    TaskPool::current().parallel_for(
+        0, static_cast<std::int64_t>(groups.size()), 1,
+        [&](std::int64_t i, int) {
+          const Group& g = groups[static_cast<std::size_t>(i)];
+          st[static_cast<std::size_t>(i)] = exec_group<T>(
+              plan_copy.get(), g.m, g.n, g.k, g.items.data(), g.items.size(),
+              cfg);
+        });
+    const bool one = groups.size() == 1;
+    observe_request(RequestPath::kBatch, one ? groups[0].m : 0,
+                    one ? groups[0].n : 0, one ? groups[0].k : 0, count,
+                    req_t0);
+    for (Status& s : st) {
+      if (!s.ok()) return s;
+    }
+    return Status{};
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -38,13 +38,15 @@
 //   * an **async surface**: submit(...) mirrors every multiply(...) form
 //     and returns a TaskFuture<Status> immediately (validation still runs
 //     synchronously — a malformed request resolves before any task is
-//     queued).  Work runs on the engine's TaskPool (task_pool.h); a
-//     cross-shape item batch fans out as one task per shape group, so the
-//     groups that ran sequentially in multiply() execute concurrently.
-//     multiply() itself is submit + wait — one execution path — except
-//     when called *from* a pool worker (a task body doing a nested
-//     synchronous multiply), which executes inline: a task blocking on
-//     another task's future could deadlock a fully busy pool.
+//     queued).  Each request is one task on the engine's TaskPool
+//     (task_pool.h); inside it, all parallelism is fork-join on the same
+//     pool — the BLIS loops, the products of a recursive descent, and the
+//     shape groups of a cross-shape item batch, which overlap even when
+//     each multiply runs serially.  multiply() itself is submit + wait —
+//     one execution path — except when called *from* a pool worker (a
+//     task body doing a nested synchronous multiply), which executes
+//     inline: a task blocking on another task's future could deadlock a
+//     fully busy pool, while an inline region simply runs serially there.
 //
 // Thread-safety: every public method may be called from any number of host
 // threads concurrently.  Executor run() concurrency is the slot-pool story
@@ -202,12 +204,12 @@ class Engine {
     // Observations before a measured rate may override the analytic
     // ranking.  0 = FMM_HISTORY_MIN env, else 10.
     std::size_t history_min_observations = 0;
-    // Task-recursive descent cutoff (src/core/recursive.h): multiplies
-    // whose every dimension exceeds the cutoff expand one fast-algorithm
-    // level into TaskPool tasks and recurse, handing each product below
-    // the cutoff to a cached serial executor leaf.  > 0 = that leaf size;
-    // 0 = FMM_RECURSE_CUTOFF env (where 0 disables), else the analytic
-    // default from the detected cache topology
+    // Recursive descent cutoff (src/core/recursive.h): multiplies whose
+    // every dimension exceeds the cutoff run one fast-algorithm level as a
+    // fork-join region over its products and recurse, handing each product
+    // below the cutoff to a cached serial executor leaf.  > 0 = that leaf
+    // size; 0 = FMM_RECURSE_CUTOFF env (where 0 disables), else the
+    // analytic default from the detected cache topology
     // (recommended_recurse_cutoff); < 0 disables descent entirely.
     long long recurse_cutoff = 0;
     // Tracing (src/obs/trace.h): non-empty joins the process-wide trace
@@ -240,7 +242,7 @@ class Engine {
     std::uint64_t history_overrides = 0; // rankings where measured flipped
                                          // the analytic winner
     std::uint64_t recursive_runs = 0;    // multiplies that descended into
-                                         // the task-recursive path
+                                         // the recursive path
   };
 
   static constexpr std::size_t kDefaultCacheCapacity = 32;
@@ -310,9 +312,9 @@ class Engine {
   // runs on the engine's task pool, and the future resolves when it
   // finishes.  Operand buffers must stay alive and unmodified until then;
   // the Plan and any item array are copied, so *they* need not outlive the
-  // call.  A cross-shape item batch fans out one task per shape group and
-  // the returned future resolves when the whole batch is done.  Results
-  // are bitwise identical to the synchronous forms.
+  // call.  A batch is one task (its shape groups share it as a fork-join
+  // region) and the returned future resolves when the whole batch is
+  // done.  Results are bitwise identical to the synchronous forms.
   template <typename T>
   TaskFuture submit(const Plan& plan, MatViewT<T> c,
                     ConstMatViewT<NoDeduce<T>> a,
@@ -406,7 +408,7 @@ class Engine {
   std::size_t choice_capacity() const { return choice_cap_; }
   // Resolved worker count of the engine's pool.
   int workers() const { return workers_; }
-  // Resolved task-recursive leaf cutoff (0 = descent disabled).
+  // Resolved recursive leaf cutoff (0 = descent disabled).
   index_t recurse_cutoff() const { return recurse_cutoff_; }
   const GemmConfig& config() const { return cfg_; }
   const std::string& history_path() const { return history_path_; }
@@ -451,7 +453,7 @@ class Engine {
   // The leaf/buffer/cutoff bundle the recursive descent runs with under
   // `cfg`: leaves execute serially through the executor cache (plain GEMM
   // for nullptr plans and fringes), growing the cached executor's slot
-  // pool to the worker count so concurrent leaf tasks never serialize on
+  // pool to the worker count so concurrent leaves never serialize on
   // workspace leases.
   template <typename T>
   RecursiveExecT<T> recursive_ctx(const GemmConfig& cfg);

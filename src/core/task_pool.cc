@@ -5,10 +5,9 @@
 #include <cassert>
 #include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <exception>
-#include <limits>
 #include <mutex>
-#include <unordered_map>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -100,71 +99,50 @@ TaskFuture TaskFuture::ready(Status status) {
 
 struct TaskPool::Task {
   std::function<Status()> fn;
-  std::function<void(const Status&)> on_complete;
-  TaskTag tag = kNoTag;
-  int priority = 0;
-  std::uint64_t seq = 0;  // FIFO tie-break within a priority level
-  int remaining_deps = 0;
-  std::shared_ptr<TaskFuture::State> state;
-  // Observability (stamped only while tracing or metrics capture is on):
-  // when the task last became *ready* (queued runnable, all deps met), and
-  // the dependency tags for the trace's flow arrows.
+  std::shared_ptr<TaskFuture::State> state;  // null for fork-join helpers
+  // When the task was queued (stamped only while tracing or metrics
+  // capture is on).
   std::uint64_t enqueue_ns = 0;
-  std::vector<TaskTag> trace_deps;
-};
-
-struct TaskPool::TagState {
-  bool done = false;
-  // Tasks blocked on this tag (each also counted in its remaining_deps).
-  std::vector<std::shared_ptr<Task>> waiters;
 };
 
 struct TaskPool::Impl {
   std::mutex mu;
-  std::condition_variable work_cv;  // workers: ready task or stop
-  std::condition_variable done_cv;  // wait_all / wait(tag)
+  std::condition_variable work_cv;  // workers: a queued task or stop
+  std::condition_variable done_cv;  // wait_all
   bool stop = false;
   std::atomic<std::size_t> ready_size{0};  // ready.size(), polled unlocked
   // Workers neither running a task nor asleep.  Each takes the lock again
   // and pops a task if one is left, so a submit wakes a sleeper only when
-  // the ready tasks outnumber them.
+  // the queued tasks outnumber them.
   std::atomic<int> awake{0};
-  std::uint64_t next_seq = 0;
-  std::uint64_t outstanding = 0;  // submitted, not yet finished/cancelled
-  std::vector<std::shared_ptr<Task>> ready;  // max-heap (priority, FIFO)
-  std::unordered_map<TaskTag, TagState> tags;
-  std::atomic<TaskTag> next_fresh{kNoTag - 1};
+  std::uint64_t outstanding = 0;  // submitted, not yet finished
+  // FIFO; fork-join helpers enter at the front (a caller is already
+  // running its region and waits on them, unlike any queued task).
+  std::deque<Task> ready;
 
   // Observability instruments (set_metrics; read under mu when a task is
   // popped, so workers always see a consistent attachment).
   obs::MetricsRegistry* metrics = nullptr;
-  obs::Histogram* queue_wait = nullptr;  // ready -> running (us)
+  obs::Histogram* queue_wait = nullptr;  // queued -> running (us)
   obs::Counter* tasks_run = nullptr;
 
-  // Max-heap order: highest priority first, earliest submission within.
-  static bool heap_less(const std::shared_ptr<Task>& a,
-                        const std::shared_ptr<Task>& b) {
-    if (a->priority != b->priority) return a->priority < b->priority;
-    return a->seq > b->seq;
-  }
-
-  void push_ready_locked(std::shared_ptr<Task> t) {
-    // The queue-wait clock starts when the task becomes runnable — here —
-    // not at submission: a dependency-blocked task is not "waiting for a
-    // worker" yet.
+  void push_locked(Task t, bool front) {
     if (obs::trace_enabled() ||
         (metrics != nullptr && metrics->enabled())) {
-      t->enqueue_ns = obs::now_ns();
+      t.enqueue_ns = obs::now_ns();
     }
-    ready.push_back(std::move(t));
-    std::push_heap(ready.begin(), ready.end(), heap_less);
+    ++outstanding;
+    if (front) {
+      ready.push_front(std::move(t));
+    } else {
+      ready.push_back(std::move(t));
+    }
     ready_size.store(ready.size(), std::memory_order_relaxed);
   }
 
-  std::shared_ptr<Task> pop_ready_locked() {
-    std::pop_heap(ready.begin(), ready.end(), heap_less);
-    std::shared_ptr<Task> t = std::move(ready.back());
-    ready.pop_back();
+  Task pop_locked() {
+    Task t = std::move(ready.front());
+    ready.pop_front();
     ready_size.store(ready.size(), std::memory_order_relaxed);
     return t;
   }
@@ -209,10 +187,6 @@ TaskPool& TaskPool::current() {
 
 int TaskPool::current_worker_index() { return tls_worker_index; }
 
-TaskTag TaskPool::fresh_tag() {
-  return impl_->next_fresh.fetch_sub(1, std::memory_order_relaxed);
-}
-
 void TaskPool::set_metrics(obs::MetricsRegistry* registry) {
   std::lock_guard<std::mutex> lk(impl_->mu);
   impl_->metrics = registry;
@@ -223,38 +197,18 @@ void TaskPool::set_metrics(obs::MetricsRegistry* registry) {
       registry != nullptr ? &registry->counter("pool.tasks") : nullptr;
 }
 
-TaskFuture TaskPool::submit_impl(std::function<Status()> fn,
-                                 TaskOptions opts) {
-  auto task = std::make_shared<Task>();
-  task->fn = std::move(fn);
-  task->on_complete = std::move(opts.on_complete);
-  task->tag = opts.tag;
-  task->priority = opts.priority;
-  task->state = std::make_shared<TaskFuture::State>();
+TaskFuture TaskPool::submit_impl(std::function<Status()> fn) {
+  Task task;
+  task.fn = std::move(fn);
+  task.state = std::make_shared<TaskFuture::State>();
   TaskFuture future;
-  future.state_ = task->state;
-
-  // Dependency tags are copied for the trace's flow arrows only while
-  // recording — the hot path carries no extra allocation otherwise.
-  if (obs::trace_enabled() && !opts.deps.empty()) task->trace_deps = opts.deps;
-
+  future.state_ = task.state;
   bool wake = false;
   {
     std::unique_lock<std::mutex> lk(impl_->mu, std::defer_lock);
     lock_spinning(lk);
-    task->seq = impl_->next_seq++;
-    ++impl_->outstanding;
-    for (TaskTag dep : opts.deps) {
-      TagState& ts = impl_->tags[dep];  // created on first reference
-      if (!ts.done) {
-        ts.waiters.push_back(task);
-        ++task->remaining_deps;
-      }
-    }
-    if (task->remaining_deps == 0) {
-      impl_->push_ready_locked(std::move(task));
-      wake = impl_->ready.size() > static_cast<std::size_t>(impl_->awake);
-    }
+    impl_->push_locked(std::move(task), /*front=*/false);
+    wake = impl_->ready.size() > static_cast<std::size_t>(impl_->awake);
   }
   if (wake) impl_->work_cv.notify_one();
   return future;
@@ -271,7 +225,7 @@ void TaskPool::worker_loop(int index) {
   ++impl_->awake;
   std::unique_lock<std::mutex> lk(impl_->mu);
   for (;;) {
-    // An idle gap is a span too: it is the signal "the graph starved this
+    // An idle gap is a span too: it is the signal "no work reached this
     // worker", which a run-spans-only trace cannot show.
     std::uint64_t idle_start = 0;
     auto runnable = [&] { return impl_->stop || !impl_->ready.empty(); };
@@ -296,7 +250,7 @@ void TaskPool::worker_loop(int index) {
       if (impl_->stop) return;
       continue;
     }
-    std::shared_ptr<Task> task = impl_->pop_ready_locked();
+    Task task = impl_->pop_locked();
     --impl_->awake;
     // Instrument attachment is read under the lock: a consistent snapshot
     // even if set_metrics races a draining pool.
@@ -309,13 +263,13 @@ void TaskPool::worker_loop(int index) {
 
     const bool tracing = obs::trace_enabled();
     std::uint64_t run_start = 0;
-    if (task->enqueue_ns != 0 && (tracing || qw != nullptr)) {
+    if (task.enqueue_ns != 0 && (tracing || qw != nullptr)) {
       run_start = obs::now_ns();
       if (qw != nullptr) {
-        qw->record(static_cast<double>(run_start - task->enqueue_ns) * 1e-3);
+        qw->record(static_cast<double>(run_start - task.enqueue_ns) * 1e-3);
       }
       if (tracing) {
-        obs::trace_complete("task.wait", "pool", task->enqueue_ns, run_start,
+        obs::trace_complete("task.wait", "pool", task.enqueue_ns, run_start,
                             "", index);
       }
     }
@@ -323,7 +277,7 @@ void TaskPool::worker_loop(int index) {
 
     Status status;
     try {
-      status = task->fn();
+      status = task.fn();
     } catch (const std::exception& e) {
       status = Status::error(StatusCode::kInvalidArgument,
                              std::string("task body threw: ") + e.what());
@@ -332,51 +286,16 @@ void TaskPool::worker_loop(int index) {
                              "task body threw a non-std exception");
     }
     ++impl_->awake;
-    task->fn = nullptr;  // release captures before dependents observe done
+    task.fn = nullptr;  // release captures before the future resolves
     if (tr != nullptr) tr->add();
-
     if (tracing && run_start != 0 && obs::trace_enabled()) {
-      const std::uint64_t run_end = obs::now_ns();
-      obs::trace_complete("task.run", "pool", run_start, run_end, "", index);
-      // Flow arrows: each dependency this task consumed binds to this run
-      // slice (timestamps inside the slice anchor the arrow endpoints);
-      // the producing side is emitted at the producer's run end below.
-      for (TaskTag dep : task->trace_deps) {
-        obs::trace_flow_end("dep", "pool", dep, run_start);
-      }
-      if (task->tag != kNoTag) {
-        obs::trace_flow_start("dep", "pool", task->tag, run_end);
-      }
+      obs::trace_complete("task.run", "pool", run_start, obs::now_ns(), "",
+                          index);
     }
-
-    // The future resolves *before* the tag completes: a dependent task
-    // (released by the tag) always observes its dependency's future done.
-    // The callback runs *after* successors are released, so a callback
-    // that blocks cannot stall the graph.
-    task->state->resolve(status);
+    if (task.state != nullptr) task.state->resolve(std::move(status));
 
     lock_spinning(lk);
-    if (task->tag != kNoTag) {
-      TagState& ts = impl_->tags[task->tag];
-      assert(!ts.done && "two tasks completed the same tag");
-      ts.done = true;
-      bool released = false;
-      for (std::shared_ptr<Task>& w : ts.waiters) {
-        if (--w->remaining_deps == 0) {
-          impl_->push_ready_locked(std::move(w));
-          released = true;
-        }
-      }
-      ts.waiters.clear();
-      if (released) impl_->work_cv.notify_all();
-    }
-    if (task->on_complete) {
-      lk.unlock();
-      task->on_complete(status);
-      lock_spinning(lk);
-    }
-    --impl_->outstanding;
-    impl_->done_cv.notify_all();
+    if (--impl_->outstanding == 0) impl_->done_cv.notify_all();
   }
 }
 
@@ -387,43 +306,6 @@ void TaskPool::wait_all() {
   assert(tls_pool != this && "wait_all() from a task of the same pool");
   std::unique_lock<std::mutex> lk(impl_->mu);
   impl_->done_cv.wait(lk, [&] { return impl_->outstanding == 0; });
-}
-
-void TaskPool::wait(TaskTag tag) {
-  assert(tls_pool != this && "wait(tag) from a task of the same pool");
-  std::unique_lock<std::mutex> lk(impl_->mu);
-  impl_->done_cv.wait(lk, [&] {
-    auto it = impl_->tags.find(tag);
-    return it != impl_->tags.end() && it->second.done;
-  });
-}
-
-void TaskPool::cancel_pending() {
-  std::vector<std::shared_ptr<Task>> cancelled;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    for (std::shared_ptr<Task>& t : impl_->ready) {
-      cancelled.push_back(std::move(t));
-    }
-    impl_->ready.clear();
-    impl_->ready_size.store(0, std::memory_order_relaxed);
-    for (auto& [tag, ts] : impl_->tags) {
-      for (std::shared_ptr<Task>& t : ts.waiters) {
-        cancelled.push_back(std::move(t));
-      }
-      ts.waiters.clear();
-    }
-    // A task blocked on several tags sat in several waiter lists; resolve
-    // (and count) it once.
-    std::sort(cancelled.begin(), cancelled.end());
-    cancelled.erase(std::unique(cancelled.begin(), cancelled.end()),
-                    cancelled.end());
-    impl_->outstanding -= cancelled.size();
-  }
-  impl_->done_cv.notify_all();
-  for (const std::shared_ptr<Task>& t : cancelled) {
-    t->state->resolve(Status::error(StatusCode::kCancelled, "task cancelled"));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -438,6 +320,8 @@ struct ParallelTeam::State {
     Loop loop;
     std::int64_t n, grain, chunks;
     std::atomic<std::int64_t> next{0}, done{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr error = nullptr;  // the first thrown (guarded by mu)
   };
 
   std::atomic<int> next_tid{1};  // helpers' ids follow the caller's 0
@@ -450,7 +334,16 @@ struct ParallelTeam::State {
 
   void drain(Job& j, int tid) {
     for (std::int64_t q; (q = j.next.fetch_add(1)) < j.chunks;) {
-      j.loop.run(j.loop.fn, q * j.grain, std::min((q + 1) * j.grain, j.n), tid);
+      if (!j.failed.load(std::memory_order_relaxed)) {
+        try {
+          j.loop.run(j.loop.fn, q * j.grain, std::min((q + 1) * j.grain, j.n),
+                     tid);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(mu);
+          if (j.error == nullptr) j.error = std::current_exception();
+          j.failed.store(true, std::memory_order_relaxed);
+        }
+      }
       if (j.done.fetch_add(1) + 1 == j.chunks) {
         // Under the lock the caller re-checks `done` under: no lost wake-up.
         std::lock_guard<std::mutex> lk(mu);
@@ -496,6 +389,7 @@ void ParallelTeam::run_loop(const Loop& l, std::int64_t n, std::int64_t grain) {
     std::unique_lock<std::mutex> lk(st.mu);
     st.done_cv.wait(lk, finished);
   }
+  if (j->error != nullptr) std::rethrow_exception(j->error);
 }
 
 std::shared_ptr<ParallelTeam::State> TaskPool::fork_team(
@@ -509,13 +403,9 @@ std::shared_ptr<ParallelTeam::State> TaskPool::fork_team(
   std::unique_lock<std::mutex> lk(impl_->mu, std::defer_lock);
   lock_spinning(lk);
   for (int h = 1; h < want; ++h) {
-    auto task = std::make_shared<Task>();
-    task->fn = [st] { return st->help(), Status{}; };
-    task->priority = std::numeric_limits<int>::max();
-    task->state = std::make_shared<TaskFuture::State>();
-    task->seq = impl_->next_seq++;
-    ++impl_->outstanding;
-    impl_->push_ready_locked(std::move(task));
+    Task task;
+    task.fn = [st] { return st->help(), Status{}; };
+    impl_->push_locked(std::move(task), /*front=*/true);
   }
   const int wake = static_cast<int>(impl_->ready.size()) - impl_->awake;
   lk.unlock();

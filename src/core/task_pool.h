@@ -1,46 +1,30 @@
 #pragma once
 
-// A small dependency-driven task runtime — the execution substrate for
-// asynchronous serving (engine.h) and dataflow examples.
+// The library's one threading runtime: a fixed set of plain std::thread
+// workers draining a FIFO of submitted tasks, plus the fork-join teams
+// every intra-multiply loop runs on.
 //
-// The scheme is StarPU's (the system Benson & Ballard built their parallel
-// FMM framework on, and the paper's §6 names as the task-parallel
-// comparison): a *task* is a callable plus scheduling metadata — an
-// optional identity **tag**, a list of tags it **depends** on, a
-// **priority**, and an optional completion **callback**.  Tasks whose
-// dependencies are met sit in a priority FIFO (higher priority first,
-// submission order breaking ties); a fixed set of plain std::thread
-// workers drains it.  When a task finishes, its TaskFuture resolves first,
-// then its tag is marked complete and successor tasks whose last
-// dependency that was are released (a dependent task always observes its
-// dependency's future done), and finally its callback runs on the worker
-// (callbacks may submit follow-up tasks: that is how a dataflow pipeline
-// advances).
+// Tasks: submit() queues a callable returning Status or void and returns
+// a TaskFuture, which resolves with the body's Status (Status{} for void
+// bodies, an error for bodies that threw).  There are no dependencies,
+// priorities or callbacks: a caller that needs an order waits on a
+// future or runs the steps inside one task; the Engine's asynchronous
+// requests and its cross-shape batches are one task each.
 //
-// Dependency rules:
-//   * A dependency on a tag that already completed is satisfied
-//     immediately; on a tag not yet seen, the task waits until some task
-//     carrying that tag completes (so submission order is free).
-//   * Tags are never reused within a pool's lifetime; completing twice is
-//     an error (asserted in debug builds).
-//   * A completed tag stays complete forever (state is O(distinct tags)).
+// Lifecycle: wait_all() blocks until every submitted task has finished.
+// The destructor wait_all()s then joins, so destroying a pool with tasks
+// in flight is safe and drains them.
 //
-// Lifecycle: wait_all() blocks until every submitted task (including ones
-// submitted by callbacks while draining) has finished.  cancel_pending()
-// resolves every not-yet-started task's future with StatusCode::kCancelled
-// (callbacks of cancelled tasks do NOT run, and their tags do NOT
-// complete — cancellation abandons the rest of the graph); tasks already
-// executing run to completion.  The destructor wait_all()s then joins —
-// destroying a pool with tasks in flight is safe and drains them.
-//
-// Fork-join, the library's only intra-multiply parallelism (the BLIS loops
-// around the micro-kernel, paper §5.1): parallel_region() runs a body on
-// the calling thread as participant 0 of a team whose helpers are tasks of
-// the same pool; ParallelTeam::for_each() shares one loop among the team.
-// The caller never waits for a helper to *start*, only for claimed chunks
-// to *finish*, so a region opened on a worker of a saturated pool runs
-// serially instead of deadlocking; a helper that starts after the region
-// closed touches only the team's reference-counted state.
+// Fork-join (the paper's "simple but efficient data parallelism", §5.1):
+// parallel_region() runs a body on the calling thread as participant 0 of
+// a team whose helpers are tasks of the same pool, queued ahead of every
+// waiting task; ParallelTeam::for_each() shares one loop among the team,
+// and its return is the barrier before the next.  The caller never waits
+// for a helper to *start*, only for claimed chunks to *finish*, so a
+// region opened on a worker of a saturated pool (a nested region, or a
+// multiply inside a user's task) runs serially instead of deadlocking; a
+// helper that starts after the region closed touches only the team's
+// reference-counted state.
 
 #include <cstdint>
 #include <functional>
@@ -58,23 +42,10 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-// Task identity for dependency tracking.  Any value except kNoTag is
-// usable; fresh_tag() hands out values from a reserved high range so
-// caller-chosen small tags never collide with generated ones.
-using TaskTag = std::uint64_t;
-inline constexpr TaskTag kNoTag = ~static_cast<TaskTag>(0);
-
-struct TaskOptions {
-  TaskTag tag = kNoTag;           // identity (kNoTag: anonymous task)
-  std::vector<TaskTag> deps;      // tags that must complete first
-  int priority = 0;               // higher runs earlier; FIFO within equal
-  std::function<void(const Status&)> on_complete;  // runs on the worker
-};
-
 // The result handle of a submitted task: resolves exactly once, with the
 // Status the task body returned (Status{} for void bodies, the error for
-// bodies that threw, kCancelled for cancelled tasks).  Copyable; all
-// copies share one state.  A default-constructed future is invalid.
+// bodies that threw).  Copyable; all copies share one state.  A
+// default-constructed future is invalid.
 class TaskFuture {
  public:
   TaskFuture() = default;
@@ -103,8 +74,9 @@ class ParallelTeam {
   // that the participants claim dynamically, and returns once every chunk
   // has finished: that completion count is the barrier between two loops.
   // `tid` is distinct among concurrently running participants and below
-  // the region's cap, so it can index per-participant workspace.  fn must
-  // not throw.
+  // the region's cap, so it can index per-participant workspace.  If fn
+  // throws, chunks not yet started are skipped and the first exception is
+  // rethrown here, on the caller, after the barrier.
   template <typename F>
   void for_each(std::int64_t n, std::int64_t grain, F&& fn) {
     if (state_ == nullptr) {
@@ -139,35 +111,23 @@ class TaskPool {
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  // Submits a callable returning Status or void.  Runs as soon as a worker
-  // is free and every dependency in opts.deps has completed.
+  // Submits a callable returning Status or void; it runs, in submission
+  // order, as soon as a worker is free.
   template <typename F>
-  TaskFuture submit(F&& fn, TaskOptions opts = TaskOptions{}) {
+  TaskFuture submit(F&& fn) {
     if constexpr (std::is_void_v<std::invoke_result_t<F&>>) {
-      return submit_impl(
-          [f = std::forward<F>(fn)]() mutable {
-            f();
-            return Status{};
-          },
-          std::move(opts));
+      return submit_impl([f = std::forward<F>(fn)]() mutable {
+        f();
+        return Status{};
+      });
     } else {
-      return submit_impl(std::forward<F>(fn), std::move(opts));
+      return submit_impl(std::forward<F>(fn));
     }
   }
 
-  // Blocks until no task is queued, blocked, or running (a callback that
-  // submits more work extends the wait — the drain covers the new tasks).
+  // Blocks until no task is queued or running (a task that submits more
+  // work extends the wait — the drain covers the new tasks).
   void wait_all();
-  // Blocks until a task carrying `tag` has completed.
-  void wait(TaskTag tag);
-
-  // Resolves every not-yet-started task with kCancelled; running tasks
-  // finish normally.  See the lifecycle notes above.
-  void cancel_pending();
-
-  // A tag guaranteed distinct from every caller-chosen and every other
-  // generated tag (values descend from just below kNoTag).
-  TaskTag fresh_tag();
 
   // Attaches a metrics registry (src/obs/metrics.h): the pool then records
   // a per-task queue-wait histogram ("pool.queue_wait", ready -> running)
@@ -219,10 +179,9 @@ class TaskPool {
 
  private:
   struct Task;
-  struct TagState;
   struct Impl;
 
-  TaskFuture submit_impl(std::function<Status()> fn, TaskOptions opts);
+  TaskFuture submit_impl(std::function<Status()> fn);
   std::shared_ptr<ParallelTeam::State> fork_team(int cap,
                                                  std::int64_t max_chunks);
   static void join_team(const std::shared_ptr<ParallelTeam::State>& st);

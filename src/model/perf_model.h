@@ -97,7 +97,7 @@ ModelParams calibrate(const GemmConfig& cfg = GemmConfig{});
 // sets independent and cheap).
 ModelParams calibrate(const GemmConfig& cfg, DType dtype);
 
-// The analytic default for the task-recursive leaf cutoff
+// The analytic default for the recursive leaf cutoff
 // (src/core/recursive.h): the largest square-ish leaf whose three operands
 // still fit the (total) L3 — n = sqrt(l3_bytes / (3 * 8)) — floored to a
 // multiple of 64 and clamped to [256, 4096].  Below the lower clamp the

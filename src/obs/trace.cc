@@ -132,19 +132,12 @@ void append_event_json(std::string& out, const TraceEvent& ev, int tid) {
     case 'i':
       out += ",\"s\":\"t\"";  // instant scoped to its thread
       break;
-    case 's':
-    case 'f':
-      std::snprintf(buf, sizeof(buf), ",\"id\":\"0x%llx\"",
-                    static_cast<unsigned long long>(ev.id));
-      out += buf;
-      if (ev.phase == 'f') out += ",\"bp\":\"e\"";  // bind to enclosing slice
-      break;
     default:
       break;
   }
   if (ev.phase == 'C') {
     std::snprintf(buf, sizeof(buf), ",\"args\":{\"value\":%lld}",
-                  static_cast<long long>(ev.id));
+                  static_cast<long long>(ev.value));
     out += buf;
   } else if (ev.arg[0] != '\0' || ev.worker >= 0) {
     out += ",\"args\":{";
@@ -315,37 +308,13 @@ void trace_instant(const char* name, const char* cat, const char* arg,
   record_event(ev);
 }
 
-void trace_flow_start(const char* name, const char* cat, std::uint64_t id,
-                      std::uint64_t ts_ns) {
-  if (!trace_enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.cat = cat;
-  ev.start_ns = ts_ns;
-  ev.id = id;
-  ev.phase = 's';
-  record_event(ev);
-}
-
-void trace_flow_end(const char* name, const char* cat, std::uint64_t id,
-                    std::uint64_t ts_ns) {
-  if (!trace_enabled()) return;
-  TraceEvent ev;
-  ev.name = name;
-  ev.cat = cat;
-  ev.start_ns = ts_ns;
-  ev.id = id;
-  ev.phase = 'f';
-  record_event(ev);
-}
-
 void trace_counter(const char* name, const char* cat, std::int64_t value) {
   if (!trace_enabled()) return;
   TraceEvent ev;
   ev.name = name;
   ev.cat = cat;
   ev.start_ns = now_ns();
-  ev.id = static_cast<std::uint64_t>(value);
+  ev.value = static_cast<std::uint64_t>(value);
   ev.phase = 'C';
   record_event(ev);
 }

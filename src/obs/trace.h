@@ -3,7 +3,7 @@
 // Low-overhead span tracing — the runtime's flight recorder.
 //
 // The Engine runs requests through a task pool, two LRU caches, compiled
-// executors, and a recursive task-graph driver; until this layer the only
+// executors, and a recursive fork-join driver; until this layer the only
 // window into any of it was the aggregate CacheStats counters.  This
 // module records *events*: named, categorized spans with start/end
 // nanosecond timestamps and an optional small annotation, written into
@@ -63,9 +63,9 @@ struct TraceEvent {
   const char* cat = nullptr;   // static string (category / phase group)
   std::uint64_t start_ns = 0;  // since the tracer epoch
   std::uint64_t dur_ns = 0;    // complete events; 0 otherwise
-  std::uint64_t id = 0;        // flow-event id / counter value
+  std::uint64_t value = 0;     // counter value
   std::int32_t worker = -1;    // TaskPool worker index, -1 off-pool
-  char phase = 'X';            // 'X' span, 'i' instant, 's'/'f' flow, 'C' counter
+  char phase = 'X';            // 'X' span, 'i' instant, 'C' counter
   char arg[47] = {0};          // free-form annotation ("" = none)
 };
 
@@ -83,13 +83,6 @@ void trace_complete(const char* name, const char* cat, std::uint64_t start_ns,
 // A zero-duration marker.
 void trace_instant(const char* name, const char* cat, const char* arg = "",
                    std::int32_t worker = -1);
-// A dependency-flow arrow: start where the dependency is produced (inside
-// the producing span), end where it is consumed (inside the consuming
-// span).  `id` joins the two halves; name/cat must match.
-void trace_flow_start(const char* name, const char* cat, std::uint64_t id,
-                      std::uint64_t ts_ns);
-void trace_flow_end(const char* name, const char* cat, std::uint64_t id,
-                    std::uint64_t ts_ns);
 // A sampled counter track (e.g. buffer-pool bytes over time).
 void trace_counter(const char* name, const char* cat, std::int64_t value);
 // Names the calling thread's track in the exported trace.

@@ -229,54 +229,35 @@ TEST(F32Engine, AsyncSubmitMatchesSynchronousBits) {
 }
 
 // --------------------------------------------------------------------------
-// Recursive descent, f32: the task graph is bitwise identical to the
-// sequential twin (the same determinism contract the f64 suite checks).
+// Recursive descent, f32: bitwise identical under every schedule (the same
+// determinism contract the f64 suite checks).
 // --------------------------------------------------------------------------
 
 TEST(F32Recursive, GraphBitwiseMatchesSequentialOracle) {
   const Plan plan = one_level_plan();
   const index_t n = 60;
-  const index_t cutoff = 16;
   auto p = random_problem<float>(n, n, n, 23);
   BufferPool buffers;
   GemmConfig cfg;
   cfg.num_threads = 1;
-
-  auto make_ctx = [&](TaskPool* pool) {
-    RecursiveExecT<float> ctx;
-    ctx.pool = pool;
-    ctx.buffers = &buffers;
-    ctx.cutoff = cutoff;
-    ctx.leaf = [cfg](const Plan* leaf_plan, MatViewF32 c, ConstMatViewF32 a,
-                     ConstMatViewF32 b) {
-      ASSERT_EQ(leaf_plan, nullptr);  // one level fully consumed
-      gemm(c, a, b, cfg);
-    };
-    return ctx;
+  RecursiveExecT<float> ctx;
+  ctx.buffers = &buffers;
+  ctx.cutoff = 16;
+  ctx.leaf = [cfg](const Plan* leaf_plan, MatViewF32 c, ConstMatViewF32 a,
+                   ConstMatViewF32 b) {
+    ASSERT_EQ(leaf_plan, nullptr);  // one level fully consumed
+    gemm(c, a, b, cfg);
   };
-
-  MatrixT<float> c_seq = p.c.clone();
-  {
-    RecursiveExecT<float> ctx = make_ctx(nullptr);
-    run_recursive_sequential(ctx, plan, c_seq.view(), p.a.cview(),
-                             p.b.cview());
-  }
-
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    MatrixT<float> c = p.c.clone();
-    TaskPool pool(workers);
-    RecursiveExecT<float> ctx = make_ctx(&pool);
-    TaskFuture f =
-        submit_recursive(ctx, plan, c.view(), p.a.cview(), p.b.cview());
-    f.wait();
-    ASSERT_TRUE(f.status().ok());
-    expect_bitwise_equal_f32(c, c_seq);
+  const std::vector<MatrixT<float>> runs = test::recursive_under_schedules(
+      ctx, plan, p.c, p.a.cview(), p.b.cview());
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    SCOPED_TRACE("schedule " + std::to_string(i));
+    expect_bitwise_equal_f32(runs[i], runs[0]);
   }
 
   // And the answer is actually right.
   ref_gemm(p.want.view(), p.a.cview(), p.b.cview());
-  EXPECT_LE(max_abs_diff(c_seq.cview(), p.want.cview()), tol_for_f32(n, 1));
+  EXPECT_LE(max_abs_diff(runs[0].cview(), p.want.cview()), tol_for_f32(n, 1));
 }
 
 TEST(F32Recursive, EngineDescentMatchesReference) {

@@ -1,14 +1,17 @@
-// Task-recursive multi-level execution (src/core/recursive.h): the
-// BufferPool allocator, the descent predicate and cutoff resolution, the
-// determinism contract (graph == sequential twin, bitwise, under any worker
-// count), peeling/degenerate shapes under recursion, and the nested-call /
-// slot-pool regressions.
+// Recursive multi-level execution (src/core/recursive.h): the BufferPool
+// allocator, the descent predicate and cutoff resolution, the determinism
+// contract (one driver, bitwise equal under every schedule), failure
+// containment, peeling/degenerate shapes under recursion, and the
+// nested-call / slot-pool regressions.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
+#include <vector>
 
 #include "src/core/catalog.h"
 #include "src/core/engine.h"
@@ -23,6 +26,7 @@ namespace {
 using test::degenerate_shapes;
 using test::random_problem;
 using test::RandomProblem;
+using test::recursive_under_schedules;
 using test::tol_for;
 
 class ScopedEnv {
@@ -69,13 +73,11 @@ void expect_bitwise_equal(const Matrix& x, const Matrix& y) {
 }
 
 // A standalone RecursiveExec whose leaves are plain serial GEMMs — no
-// Engine, no executor cache — for the graph-vs-sequential oracle tests.
-// Only valid for plans fully consumed by the descent (child == nullptr at
-// every leaf).
-RecursiveExec gemm_leaf_ctx(TaskPool* pool, BufferPool* buffers,
-                            index_t cutoff) {
+// Engine, no executor cache — for the schedule-determinism tests.  Only
+// valid for plans fully consumed by the descent (child == nullptr at every
+// leaf).
+RecursiveExec gemm_leaf_ctx(BufferPool* buffers, index_t cutoff) {
   RecursiveExec ctx;
-  ctx.pool = pool;
   ctx.buffers = buffers;
   ctx.cutoff = cutoff;
   ctx.leaf = [](const Plan* plan, MatView c, ConstMatView a, ConstMatView b) {
@@ -242,11 +244,48 @@ TEST(RecursiveExecution, DescentMatchesReferenceTwoLevel) {
   o.workers = 4;
   Engine e(o);
   const index_t n = 96;
-  RandomProblem p = random_problem(n, n, n, 7);
-  ASSERT_TRUE(e.multiply(plan, p.c.view(), p.a.view(), p.b.view()).ok());
-  EXPECT_GE(e.stats().recursive_runs, 1u);
-  ref_gemm(p.want.view(), p.a.view(), p.b.view());
-  EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()), tol_for(n, 2));
+  obs::Histogram& requests = e.metrics().histogram("engine.request.explicit");
+  for (int i = 1; i <= 2; ++i) {
+    RandomProblem p = random_problem(n, n, n, 7 + i);
+    ASSERT_TRUE(e.multiply(plan, p.c.view(), p.a.view(), p.b.view()).ok());
+    EXPECT_EQ(e.stats().recursive_runs, static_cast<std::uint64_t>(i));
+    // A descended request is a request: one latency sample each.
+    EXPECT_EQ(requests.count(), static_cast<std::uint64_t>(i));
+    ref_gemm(p.want.view(), p.a.view(), p.b.view());
+    EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()), tol_for(n, 2));
+  }
+}
+
+// A leaf that throws (an allocation or a compile failing) fails the
+// request — partial C, but never a success and never a hang — and the
+// pool and buffers stay usable.
+TEST(RecursiveExecution, LeafExceptionFailsTheRequest) {
+  const Plan plan = two_level_plan();
+  const index_t n = 96;
+  RandomProblem p = random_problem(n, n, n, 17);
+  BufferPool buffers;
+  RecursiveExec ctx = gemm_leaf_ctx(&buffers, 20);
+  std::atomic<int> calls{0};
+  const RecursiveLeafFnT<double> gemm_leaf = ctx.leaf;
+  ctx.leaf = [&](const Plan* lp, MatView c, ConstMatView a, ConstMatView b) {
+    if (calls.fetch_add(1) == 2) throw std::bad_alloc();
+    gemm_leaf(lp, c, a, b);
+  };
+  TaskPool pool(4);
+  const Status st = pool.submit([&] {
+    run_recursive(ctx, plan, p.c.view(), p.a.view(), p.b.view());
+  }).status();
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(buffers.outstanding(), 0u);
+
+  // The same pool runs the next request to completion.
+  ctx.leaf = gemm_leaf;
+  RandomProblem q = random_problem(n, n, n, 18);
+  ASSERT_TRUE(pool.submit([&] {
+    run_recursive(ctx, plan, q.c.view(), q.a.view(), q.b.view());
+  }).status().ok());
+  ref_gemm(q.want.view(), q.a.view(), q.b.view());
+  EXPECT_LE(max_abs_diff(q.c.view(), q.want.view()), tol_for(n, 2));
 }
 
 // Flat and recursive execution associate the per-level sums differently,
@@ -270,64 +309,57 @@ TEST(RecursiveExecution, FlatVsRecursiveWithinTolerance) {
   EXPECT_LE(max_abs_diff(p.c.view(), c_flat.view()), tol_for(n, 2));
 }
 
-// The core contract: the task graph produces bitwise-identical results
-// across worker counts, across runs, and against the sequential twin.
+// The core contract: one driver, bitwise-identical results across worker
+// counts (1 = the serial schedule), host and nested calls.
 TEST(RecursiveExecution, BitwiseDeterministicAcrossSchedules) {
   const Plan plan = one_level_plan();
   const index_t n = 60;  // 60 -> 30 GEMM leaves
-  const index_t cutoff = 16;
   RandomProblem p = random_problem(n, n, n, 23);
   BufferPool buffers;
-
-  Matrix c_seq = p.c.clone();
-  {
-    RecursiveExec ctx = gemm_leaf_ctx(nullptr, &buffers, cutoff);
-    run_recursive_sequential(ctx, plan, c_seq.view(), p.a.view(), p.b.view());
-  }
-
-  for (int workers : {1, 2, 8}) {
-    for (int rep = 0; rep < 2; ++rep) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " rep=" + std::to_string(rep));
-      Matrix c = p.c.clone();
-      TaskPool pool(workers);
-      RecursiveExec ctx = gemm_leaf_ctx(&pool, &buffers, cutoff);
-      TaskFuture f =
-          submit_recursive(ctx, plan, c.view(), p.a.view(), p.b.view());
-      f.wait();
-      ASSERT_TRUE(f.status().ok());
-      expect_bitwise_equal(c, c_seq);
-    }
+  const std::vector<Matrix> runs = recursive_under_schedules(
+      gemm_leaf_ctx(&buffers, 16), plan, p.c, p.a.view(), p.b.view());
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    SCOPED_TRACE("schedule " + std::to_string(i));
+    expect_bitwise_equal(runs[i], runs[0]);
   }
 
   // And the answer is actually right.
   ref_gemm(p.want.view(), p.a.view(), p.b.view());
-  EXPECT_LE(max_abs_diff(c_seq.view(), p.want.view()), tol_for(n, 1));
+  EXPECT_LE(max_abs_diff(runs[0].view(), p.want.view()), tol_for(n, 1));
 }
 
-// Nested synchronous multiply from a TaskPool worker takes the sequential
-// twin — same bits as the host-thread graph, no deadlock.
+// A synchronous multiply from a foreign pool's worker runs the same driver
+// inline, where its regions run serially on the 1-worker pool: the same
+// bits as the requests engines of 1, 2 and 8 workers run, and no deadlock.
 TEST(RecursiveNested, OnWorkerSequentialMatchesHostGraph) {
   const Plan plan = two_level_plan();
-  Engine::Options o;
-  o.recurse_cutoff = 20;
-  o.workers = 2;
-  Engine e(o);
   const index_t n = 96;
   RandomProblem p = random_problem(n, n, n, 31);
-  Matrix c_nested = p.c.clone();
+  std::vector<Matrix> results;
+  for (int workers : {1, 2, 8}) {
+    Engine::Options o;
+    o.recurse_cutoff = 20;
+    o.workers = workers;
+    Engine e(o);
+    results.push_back(p.c.clone());
+    ASSERT_TRUE(
+        e.multiply(plan, results.back().view(), p.a.view(), p.b.view()).ok());
 
-  ASSERT_TRUE(e.multiply(plan, p.c.view(), p.a.view(), p.b.view()).ok());
-
-  TaskPool tp(1);  // a foreign pool: its worker still counts as "on worker"
-  Status nested_st;
-  TaskFuture f = tp.submit([&] {
-    nested_st = e.multiply(plan, c_nested.view(), p.a.view(), p.b.view());
-  });
-  f.wait();
-  ASSERT_TRUE(f.status().ok());
-  ASSERT_TRUE(nested_st.ok());
-  expect_bitwise_equal(p.c, c_nested);
+    TaskPool tp(1);  // a foreign pool: its worker still counts as "on worker"
+    results.push_back(p.c.clone());
+    Status nested_st;
+    TaskFuture f = tp.submit([&] {
+      nested_st =
+          e.multiply(plan, results.back().view(), p.a.view(), p.b.view());
+    });
+    ASSERT_TRUE(f.status().ok());
+    ASSERT_TRUE(nested_st.ok());
+    EXPECT_EQ(e.stats().recursive_runs, 2u);
+  }
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    expect_bitwise_equal(results[i], results[0]);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "src/core/engine.h"
+#include "src/core/recursive.h"
+#include "src/core/task_pool.h"
 #include "src/gemm/gemm.h"
 #include "src/linalg/matrix.h"
 #include "src/linalg/ops.h"
@@ -101,6 +103,47 @@ inline void expect_fmm_matches_ref(const Plan& plan, index_t m, index_t n,
   EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()),
             tol_for(k, plan.num_levels()))
       << plan.name() << " at m=" << m << " n=" << n << " k=" << k;
+}
+
+// --------------------------------------------------------------------------
+// The recursive driver under every schedule.
+// --------------------------------------------------------------------------
+
+// C0 + A * B by run_recursive under each schedule its determinism contract
+// covers: inside a task of a TaskPool of 1 (the serial schedule), 2 and 8
+// workers; from the host thread (the process-default pool); and nested,
+// two calls at once as the participants of a region on a 2-worker pool,
+// whose own regions then find the pool busy and run (mostly) serially.
+// Every result is returned for a bitwise comparison; a failing run fails
+// the test.
+template <typename T>
+std::vector<MatrixT<T>> recursive_under_schedules(
+    const RecursiveExecT<T>& ctx, const Plan& plan, const MatrixT<T>& c0,
+    ConstMatViewT<NoDeduce<T>> a, ConstMatViewT<NoDeduce<T>> b) {
+  std::vector<MatrixT<T>> out;
+  for (int workers : {1, 2, 8}) {
+    MatrixT<T> c = c0.clone();
+    TaskPool pool(workers);
+    const Status st = pool.submit([&] {
+      run_recursive(ctx, plan, c.view(), a, b);
+    }).status();
+    EXPECT_TRUE(st.ok()) << "workers=" << workers << ": " << st.to_string();
+    out.push_back(std::move(c));
+  }
+  out.push_back(c0.clone());
+  run_recursive(ctx, plan, out.back().view(), a, b);
+  std::vector<MatrixT<T>> nested;
+  for (int i = 0; i < 2; ++i) nested.push_back(c0.clone());
+  TaskPool pool(2);
+  const Status st = pool.submit([&] {
+    TaskPool::current().parallel_for(2, 2, 1, [&](std::int64_t i, int) {
+      run_recursive(ctx, plan, nested[static_cast<std::size_t>(i)].view(), a,
+                    b);
+    });
+  }).status();
+  EXPECT_TRUE(st.ok()) << "nested: " << st.to_string();
+  for (MatrixT<T>& c : nested) out.push_back(std::move(c));
+  return out;
 }
 
 // --------------------------------------------------------------------------

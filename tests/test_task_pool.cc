@@ -1,10 +1,8 @@
-// TaskPool — the dependency-driven runtime under Engine::submit.  Covers
-// execution and future resolution, tag dependencies in every submission
-// order, the priority FIFO, completion callbacks (including callbacks
-// that submit follow-up work), cancellation, destruction with tasks in
-// flight, concurrent submission from many host threads, and the
-// fork-join primitive the BLIS loops run on (the TSan CI leg runs every
-// TaskPool* suite).
+// TaskPool — the runtime under Engine::submit.  Covers execution and
+// future resolution, destruction with tasks in flight, concurrent
+// submission from many host threads, and the fork-join primitive every
+// intra-multiply loop runs on (the TSan CI leg runs every TaskPool*
+// suite).
 
 #include <gtest/gtest.h>
 
@@ -68,8 +66,14 @@ TEST(TaskPoolBasic, WaitAllDrainsEverything) {
   for (int i = 0; i < 64; ++i) {
     pool.submit([&] { ran.fetch_add(1); });
   }
+  // Work a running task submits extends the drain too.
+  for (int i = 0; i < 8; ++i) {
+    pool.submit([&] {
+      for (int j = 0; j < 8; ++j) pool.submit([&] { ran.fetch_add(1); });
+    });
+  }
   pool.wait_all();
-  EXPECT_EQ(ran.load(), 64);
+  EXPECT_EQ(ran.load(), 128);
   pool.wait_all();  // idempotent on an empty pool
 }
 
@@ -95,261 +99,18 @@ TEST(TaskPoolBasic, WorkerIndexIsStableAndInRange) {
 }
 
 // ---------------------------------------------------------------------------
-// Tag dependencies.
+// Destruction.
 // ---------------------------------------------------------------------------
-
-TEST(TaskPoolDeps, DependentRunsAfterDependency) {
-  TaskPool pool(4);
-  std::atomic<int> stage{0};
-  TaskOptions dep_opts;
-  dep_opts.tag = 1;
-  pool.submit([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    stage.store(1);
-  }, dep_opts);
-  TaskOptions opts;
-  opts.deps = {1};
-  TaskFuture f = pool.submit([&] {
-    // The dependency fully finished before this task started.
-    EXPECT_EQ(stage.load(), 1);
-    stage.store(2);
-  }, opts);
-  EXPECT_TRUE(f.status().ok());
-  EXPECT_EQ(stage.load(), 2);
-}
-
-TEST(TaskPoolDeps, DependencySubmittedLater) {
-  TaskPool pool(2);
-  std::atomic<int> stage{0};
-  // The dependent arrives first, blocked on a tag nobody has carried yet.
-  TaskOptions opts;
-  opts.deps = {7};
-  TaskFuture f = pool.submit([&] { stage.fetch_add(10); }, opts);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(f.done());
-  EXPECT_EQ(stage.load(), 0);
-  TaskOptions dep_opts;
-  dep_opts.tag = 7;
-  pool.submit([&] { stage.fetch_add(1); }, dep_opts);
-  EXPECT_TRUE(f.status().ok());
-  EXPECT_EQ(stage.load(), 11);
-}
-
-TEST(TaskPoolDeps, CompletedTagSatisfiesImmediately) {
-  TaskPool pool(2);
-  TaskOptions dep_opts;
-  dep_opts.tag = 3;
-  pool.submit([] {}, dep_opts);
-  pool.wait(3);  // tag complete before the dependent is even submitted
-  TaskOptions opts;
-  opts.deps = {3};
-  TaskFuture f = pool.submit([] {}, opts);
-  EXPECT_TRUE(f.status().ok());
-}
-
-TEST(TaskPoolDeps, FanInWaitsForEveryDependency) {
-  TaskPool pool(4);
-  constexpr int kDeps = 8;
-  std::atomic<int> done{0};
-  TaskOptions fin_opts;
-  for (TaskTag t = 1; t <= kDeps; ++t) fin_opts.deps.push_back(t);
-  TaskFuture fin = pool.submit([&] {
-    EXPECT_EQ(done.load(), kDeps);  // all dependencies fully ran
-  }, fin_opts);
-  for (TaskTag t = 1; t <= kDeps; ++t) {
-    TaskOptions o;
-    o.tag = t;
-    pool.submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    }, o);
-  }
-  EXPECT_TRUE(fin.status().ok());
-}
-
-TEST(TaskPoolDeps, DependentObservesDependencyFutureResolved) {
-  TaskPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    TaskOptions dep_opts;
-    dep_opts.tag = pool.fresh_tag();
-    TaskFuture dep_future = pool.submit([] {}, dep_opts);
-    TaskOptions opts;
-    opts.deps = {dep_opts.tag};
-    TaskFuture f = pool.submit([dep_future] {
-      // The runtime resolves a task's future before releasing its
-      // successors; a dependent must never observe it pending.
-      EXPECT_TRUE(dep_future.done());
-      EXPECT_TRUE(dep_future.status().ok());
-    }, opts);
-    EXPECT_TRUE(f.status().ok());
-  }
-}
-
-TEST(TaskPoolDeps, ChainRunsInOrder) {
-  TaskPool pool(4);
-  constexpr int kLen = 32;
-  std::vector<int> order;
-  std::mutex mu;
-  TaskTag prev = kNoTag;
-  for (int i = 0; i < kLen; ++i) {
-    TaskOptions o;
-    o.tag = pool.fresh_tag();
-    if (prev != kNoTag) o.deps = {prev};
-    prev = o.tag;
-    pool.submit([&, i] {
-      std::lock_guard<std::mutex> lk(mu);
-      order.push_back(i);
-    }, o);
-  }
-  pool.wait(prev);
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kLen));
-  for (int i = 0; i < kLen; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(TaskPoolDeps, FreshTagsAreDistinct) {
-  TaskPool pool(1);
-  TaskTag a = pool.fresh_tag(), b = pool.fresh_tag(), c = pool.fresh_tag();
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-  EXPECT_NE(a, kNoTag);
-}
-
-// ---------------------------------------------------------------------------
-// Priority FIFO.
-// ---------------------------------------------------------------------------
-
-TEST(TaskPoolPriority, HigherPriorityRunsFirstFifoWithin) {
-  // One worker, held busy while the queue fills: the drain order then
-  // exposes the scheduling policy exactly.
-  TaskPool pool(1);
-  std::atomic<bool> started{false}, release{false};
-  pool.submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!started.load()) std::this_thread::yield();
-
-  std::vector<int> order;
-  std::mutex mu;
-  auto record = [&](int id) {
-    std::lock_guard<std::mutex> lk(mu);
-    order.push_back(id);
-  };
-  // Submission order: low(0), high(10), low(1), high(11), mid(20).
-  TaskOptions lo, hi, mid;
-  lo.priority = 0;
-  hi.priority = 2;
-  mid.priority = 1;
-  pool.submit([&] { record(0); }, lo);
-  pool.submit([&] { record(10); }, hi);
-  pool.submit([&] { record(1); }, lo);
-  pool.submit([&] { record(11); }, hi);
-  pool.submit([&] { record(20); }, mid);
-  release.store(true);
-  pool.wait_all();
-  // Priority descending, FIFO within a level.
-  ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 0, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// Callbacks.
-// ---------------------------------------------------------------------------
-
-TEST(TaskPoolCallback, RunsWithFinalStatus) {
-  TaskPool pool(2);
-  std::atomic<int> calls{0};
-  Status seen;
-  std::mutex mu;
-  TaskOptions o;
-  o.on_complete = [&](const Status& st) {
-    std::lock_guard<std::mutex> lk(mu);
-    seen = st;
-    calls.fetch_add(1);
-  };
-  pool.submit([] { return Status::error(StatusCode::kInvalidStride, "x"); }, o);
-  pool.wait_all();
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(seen.code(), StatusCode::kInvalidStride);
-}
-
-TEST(TaskPoolCallback, CallbackMaySubmitFollowUpsAndWaitAllCoversThem) {
-  TaskPool pool(2);
-  std::atomic<int> ran{0};
-  TaskOptions o;
-  o.on_complete = [&](const Status&) {
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&] { ran.fetch_add(1); });
-    }
-  };
-  pool.submit([] {}, o);
-  pool.wait_all();  // must cover the callback-submitted tasks
-  EXPECT_EQ(ran.load(), 8);
-}
-
-// ---------------------------------------------------------------------------
-// Cancellation and destruction.
-// ---------------------------------------------------------------------------
-
-TEST(TaskPoolCancel, PendingTasksResolveCancelled) {
-  TaskPool pool(1);
-  std::atomic<bool> started{false}, release{false};
-  std::atomic<int> ran{0};
-  TaskFuture running = pool.submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-    ran.fetch_add(1);
-  });
-  // Everything below must queue *behind* an already-running task.
-  while (!started.load()) std::this_thread::yield();
-  // Queued behind the running task and behind an unseen tag, respectively.
-  TaskFuture queued = pool.submit([&] { ran.fetch_add(1); });
-  TaskOptions o;
-  o.deps = {pool.fresh_tag()};  // never completed
-  o.on_complete = [&](const Status&) { ran.fetch_add(100); };
-  TaskFuture blocked = pool.submit([&] { ran.fetch_add(1); }, o);
-
-  pool.cancel_pending();
-  release.store(true);
-  EXPECT_TRUE(running.status().ok());  // in-flight tasks finish normally
-  EXPECT_EQ(queued.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(blocked.status().code(), StatusCode::kCancelled);
-  pool.wait_all();
-  // Only the running task's body ran; cancelled callbacks did not.
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(TaskPoolCancel, MultiDepTaskCancelsOnce) {
-  TaskPool pool(2);
-  TaskOptions o;
-  o.deps = {pool.fresh_tag(), pool.fresh_tag(), pool.fresh_tag()};
-  TaskFuture f = pool.submit([] {}, o);
-  pool.cancel_pending();  // the task sits in three waiter lists
-  EXPECT_EQ(f.status().code(), StatusCode::kCancelled);
-  pool.wait_all();
-}
-
-TEST(TaskPoolCancel, PoolIsUsableAfterCancel) {
-  TaskPool pool(2);
-  TaskOptions o;
-  o.deps = {pool.fresh_tag()};
-  pool.submit([] {}, o);
-  pool.cancel_pending();
-  TaskFuture f = pool.submit([] { return Status{}; });
-  EXPECT_TRUE(f.status().ok());
-}
 
 TEST(TaskPoolLifecycle, DestructionDrainsInFlightTasks) {
   std::atomic<int> ran{0};
   {
     TaskPool pool(4);
     for (int i = 0; i < 32; ++i) {
-      TaskOptions o;
-      o.tag = pool.fresh_tag();
       pool.submit([&] {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
         ran.fetch_add(1);
-      }, o);
+      });
     }
     // No wait_all: the destructor must drain, not drop.
   }
@@ -376,33 +137,6 @@ TEST(TaskPoolConcurrency, ManySubmittersSharedPool) {
   }
   for (auto& h : hosts) h.join();
   EXPECT_EQ(ran.load(), kThreads * kPerThread);
-}
-
-TEST(TaskPoolConcurrency, ConcurrentChainsInterleave) {
-  TaskPool pool(4);
-  constexpr int kChains = 6, kLen = 40;
-  std::vector<std::atomic<int>> progress(kChains);
-  for (auto& p : progress) p.store(0);
-  std::vector<std::thread> hosts;
-  for (int c = 0; c < kChains; ++c) {
-    hosts.emplace_back([&, c] {
-      TaskTag prev = kNoTag;
-      for (int i = 0; i < kLen; ++i) {
-        TaskOptions o;
-        o.tag = pool.fresh_tag();
-        if (prev != kNoTag) o.deps = {prev};
-        prev = o.tag;
-        pool.submit([&, c, i] {
-          // In-order execution within each chain.
-          EXPECT_EQ(progress[static_cast<std::size_t>(c)].load(), i);
-          progress[static_cast<std::size_t>(c)].store(i + 1);
-        }, o);
-      }
-      pool.wait(prev);
-    });
-  }
-  for (auto& h : hosts) h.join();
-  for (auto& p : progress) EXPECT_EQ(p.load(), kLen);
 }
 
 // ---------------------------------------------------------------------------
@@ -470,6 +204,63 @@ TEST(TaskPoolForkJoin, NestedRegionsOnASaturatedPoolRunSerially) {
   pool.wait_all();  // includes the late helpers, which find closed teams
   EXPECT_EQ(helper_chunks.load(), 0);
   EXPECT_EQ(sum.load(), 2L * 3 * (63 * 64 / 2));
+}
+
+TEST(TaskPoolForkJoin, HelpersRunBeforeQueuedTasks) {
+  // Both workers are held while three plain tasks queue; a region opened
+  // then must get its helper from the first worker freed, ahead of the
+  // queue (its caller is already running and waits on it).
+  TaskPool pool(2);
+  std::atomic<int> blocked{0};
+  std::atomic<bool> free_one{false}, free_other{false};
+  pool.submit([&] {
+    blocked.fetch_add(1);
+    while (!free_one.load()) std::this_thread::yield();
+  });
+  pool.submit([&] {
+    blocked.fetch_add(1);
+    while (!free_other.load()) std::this_thread::yield();
+  });
+  while (blocked.load() < 2) std::this_thread::yield();
+
+  std::mutex mu;
+  std::vector<char> order;
+  auto log = [&](char what) {
+    std::lock_guard<std::mutex> lk(mu);
+    order.push_back(what);
+  };
+  for (int i = 0; i < 3; ++i) pool.submit([&] { log('q'); });
+  std::atomic<bool> helped{false};
+  pool.parallel_for(2, 2, 1, [&](std::int64_t, int tid) {
+    if (tid == 0) {
+      free_one.store(true);
+      while (!helped.load()) std::this_thread::yield();
+    } else {
+      log('h');
+      helped.store(true);
+    }
+  });
+  free_other.store(true);
+  pool.wait_all();
+  EXPECT_EQ(order, (std::vector<char>{'h', 'q', 'q', 'q'}));
+}
+
+TEST(TaskPoolForkJoin, ExceptionRethrownOnCallerAfterTheBarrier) {
+  TaskPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for(4, 64, 1,
+                                 [&](std::int64_t i, int) {
+                                   ran.fetch_add(1);
+                                   if (i == 5) throw std::runtime_error("x");
+                                 }),
+               std::runtime_error);
+  // Chunks claimed after the failure are skipped, never half-run.
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), 64);
+  // The pool and a fresh region are still usable.
+  std::atomic<int> after{0};
+  pool.parallel_for(4, 64, 1, [&](std::int64_t, int) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 64);
 }
 
 TEST(TaskPoolForkJoin, LateHelperDoesNotTouchTheJoinedCallersState) {
