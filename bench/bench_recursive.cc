@@ -7,8 +7,10 @@
 //               (fork-join parallel inside the multiply).
 //   recursive — Engine with the leaf cutoff from --cutoff: sizes above it
 //               descend, each fast-algorithm step running its products
-//               on the pool's workers, leaves as serial compiled
-//               executors / GEMMs; sizes at or below it run flat.
+//               on the pool's workers, leaves as compiled executors /
+//               GEMMs (serial in a full window of products, pool-wide
+//               for the products left over); sizes at or below it run
+//               flat.
 //
 // The claim (informational; the exit code gates on correctness only): at
 // n = 1024 the recursive path is >= 1.0x flat, and measurably faster at

@@ -6,7 +6,9 @@
 //                          products over quadrant views on the pool's
 //                          workers, each recursing on its subproblem;
 //   min(m,n,k) <= cutoff   compiled fast leaf: the remaining levels run
-//                          as one cached, serial FmmExecutor;
+//                          as one cached FmmExecutor (serial for a
+//                          product of a full window, pool-wide for a
+//                          product left over after the last one);
 //   fringes / levels out   plain GEMM slivers.
 //
 // This walkthrough builds one-level, two-level, and hybrid plans (paper

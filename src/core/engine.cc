@@ -802,23 +802,26 @@ RecursiveExecT<T> Engine::recursive_ctx(const GemmConfig& cfg) {
   RecursiveExecT<T> ctx;
   ctx.buffers = &recurse_buffers_;
   ctx.cutoff = recurse_cutoff_;
-  // Leaves run serially — the node's products are the parallelism — and
-  // share the executor cache with every other path.  The cached executor's
-  // slot pool grows to the worker count once, so concurrent leaves never
+  ctx.participants = threads_for(cfg);
+  // Leaves share the executor cache with every other path.  A serial leaf
+  // (a product of a full window, a fringe) grows its cached executor's
+  // slot pool to the worker count once, so concurrent leaves never
   // serialize on workspace leases (nor stall behind a parent call that
-  // holds a slot of the same executor).
-  GemmConfig leaf_cfg = cfg;
-  leaf_cfg.num_threads = 1;
+  // holds a slot of the same executor).  A pool-wide leaf (a leftover
+  // product) runs the executor compiled at the request's resolved thread
+  // count; leftover products run one at a time, so it touches one slot.
   const int slot_target = TaskPool::current().workers();
-  ctx.leaf = [this, leaf_cfg, slot_target](const Plan* plan, MatViewT<T> c,
-                                           ConstMatViewT<T> a,
-                                           ConstMatViewT<T> b) {
+  ctx.leaf = [this, cfg, slot_target](const Plan* plan, int threads,
+                                      MatViewT<T> c, ConstMatViewT<T> a,
+                                      ConstMatViewT<T> b) {
+    GemmConfig leaf_cfg = cfg;
+    leaf_cfg.num_threads = threads;
     if (plan == nullptr) {
       gemm(c, a, b, gemm_workspace<T>(), leaf_cfg);
       return;
     }
     auto exec = executor_for<T>(*plan, c.rows(), c.cols(), a.cols(), leaf_cfg);
-    exec->ensure_slots(slot_target);
+    if (threads == 1) exec->ensure_slots(slot_target);
     exec->run(c, a, b);
   };
   return ctx;

@@ -205,9 +205,11 @@ class Engine {
     // ranking.  0 = FMM_HISTORY_MIN env, else 10.
     std::size_t history_min_observations = 0;
     // Recursive descent cutoff (src/core/recursive.h): multiplies whose
-    // every dimension exceeds the cutoff run one fast-algorithm level as a
-    // fork-join region over its products and recurse, handing each product
-    // below the cutoff to a cached serial executor leaf.  > 0 = that leaf
+    // every dimension exceeds the cutoff run one fast-algorithm level on
+    // the request's threads and recurse, handing each product below the
+    // cutoff to a cached executor leaf: the full windows of products run
+    // one per thread on serial leaves, the products left over run one at a
+    // time on leaves spanning every thread.  > 0 = that leaf
     // size; 0 = FMM_RECURSE_CUTOFF env (where 0 disables), else the
     // analytic default from the detected cache topology
     // (recommended_recurse_cutoff); < 0 disables descent entirely.
@@ -451,10 +453,11 @@ class Engine {
                       const GemmConfig& cfg);
   TaskPool& pool();
   // The leaf/buffer/cutoff bundle the recursive descent runs with under
-  // `cfg`: leaves execute serially through the executor cache (plain GEMM
-  // for nullptr plans and fringes), growing the cached executor's slot
-  // pool to the worker count so concurrent leaves never serialize on
-  // workspace leases.
+  // `cfg`, with threads_for(cfg) as its participant budget: leaves execute
+  // through the executor cache (plain GEMM for nullptr plans and fringes),
+  // serially or on threads_for(cfg) threads as the descent asks; a serial
+  // leaf grows its cached executor's slot pool to the worker count so
+  // concurrent leaves never serialize on workspace leases.
   template <typename T>
   RecursiveExecT<T> recursive_ctx(const GemmConfig& cfg);
   void ensure_plan_space_locked();

@@ -131,38 +131,31 @@ struct BlockTerm {
   double coeff;
 };
 
-// Serial dense dst[rows x cols] = Σ_t coeff_t * src_t (src row stride lds),
-// terms in block-index-ascending order.
+// Row i of dst = Σ_t coeff_t * src_t (src row stride lds), terms in
+// block-index-ascending order.
 template <typename T>
-void lin_comb_serial(const BlockTerm<T>* terms, int num_terms, index_t lds,
-                     index_t rows, index_t cols, T* dst) {
-  for (index_t i = 0; i < rows; ++i) {
-    T* d = dst + i * cols;
-    const T* s0 = terms[0].ptr + i * lds;
-    const T c0 = static_cast<T>(terms[0].coeff);
-    for (index_t j = 0; j < cols; ++j) d[j] = c0 * s0[j];
-    for (int t = 1; t < num_terms; ++t) {
-      const T* st = terms[t].ptr + i * lds;
-      const T ct = static_cast<T>(terms[t].coeff);
-      for (index_t j = 0; j < cols; ++j) d[j] += ct * st[j];
-    }
+void lin_comb_row(const BlockTerm<T>* terms, int num_terms, index_t lds,
+                  index_t i, index_t cols, T* d) {
+  const T* s0 = terms[0].ptr + i * lds;
+  const T c0 = static_cast<T>(terms[0].coeff);
+  for (index_t j = 0; j < cols; ++j) d[j] = c0 * s0[j];
+  for (int t = 1; t < num_terms; ++t) {
+    const T* st = terms[t].ptr + i * lds;
+    const T ct = static_cast<T>(terms[t].coeff);
+    for (index_t j = 0; j < cols; ++j) d[j] += ct * st[j];
   }
 }
 
-// Serial dst += w_t * src_t for t = 0, 1, ... in order (the C_p quadrant
-// update), one row at a time so the row of dst stays in cache across the
-// terms; each element still takes the terms one rounding step at a time.
+// Row d += w_t * (row i of src_t) for t = 0, 1, ... in order (the C_p
+// quadrant update): the row of dst stays in cache across the terms, and
+// each element still takes the terms one rounding step at a time.
 template <typename T>
-void scaled_adds_serial(const BlockTerm<T>* terms, int num_terms,
-                        index_t lds, MatViewT<T> dst) {
-  const index_t rows = dst.rows(), cols = dst.cols();
-  for (index_t i = 0; i < rows; ++i) {
-    T* d = dst.row(i);
-    for (int t = 0; t < num_terms; ++t) {
-      const T* s = terms[t].ptr + i * lds;
-      const T w = static_cast<T>(terms[t].coeff);
-      for (index_t j = 0; j < cols; ++j) d[j] += w * s[j];
-    }
+void scaled_adds_row(const BlockTerm<T>* terms, int num_terms, index_t lds,
+                     index_t i, index_t cols, T* d) {
+  for (int t = 0; t < num_terms; ++t) {
+    const T* s = terms[t].ptr + i * lds;
+    const T w = static_cast<T>(terms[t].coeff);
+    for (index_t j = 0; j < cols; ++j) d[j] += w * s[j];
   }
 }
 
@@ -175,13 +168,25 @@ struct ProductBufs {
   MatViewT<T> mv;
 };
 
+// fn(i) for every row i in [0, rows), split evenly among up to
+// `participants` members of a region on the current pool (serially, on the
+// caller, when participants == 1).
+template <typename F>
+void for_rows(int participants, index_t rows, F&& fn) {
+  TaskPool::current().parallel_for(
+      participants, rows, ceil_div(rows, participants),
+      [&](std::int64_t i, int) { fn(static_cast<index_t>(i)); });
+}
+
 // Σ_i coef(i) X_i over the quadrants of `x` (a grid of `grid_cols`-wide
-// blocks of rows x cols) into a pooled buffer — or an alias of the one
-// quadrant when the column has a single +1.0 term.
+// blocks of rows x cols) into a pooled buffer, split by rows among
+// `participants` — or an alias of the one quadrant when the column has a
+// single +1.0 term.
 template <typename T, typename Coef>
 ConstMatViewT<T> gather(ConstMatViewT<T> x, int num_blocks, int grid_cols,
                         index_t rows, index_t cols, Coef coef,
-                        BufferPool& buffers, BufferPool::Lease& lease) {
+                        int participants, BufferPool& buffers,
+                        BufferPool::Lease& lease) {
   std::vector<BlockTerm<T>> terms;
   terms.reserve(static_cast<std::size_t>(num_blocks));
   const index_t ld = x.stride();
@@ -199,17 +204,21 @@ ConstMatViewT<T> gather(ConstMatViewT<T> x, int num_blocks, int grid_cols,
   if (terms.empty()) {
     std::memset(dst, 0, static_cast<std::size_t>(rows * cols) * sizeof(T));
   } else {
-    lin_comb_serial(terms.data(), static_cast<int>(terms.size()), ld, rows,
-                    cols, dst);
+    for_rows(participants, rows, [&](index_t i) {
+      lin_comb_row(terms.data(), static_cast<int>(terms.size()), ld, i, cols,
+                   dst + i * cols);
+    });
   }
   return ConstMatViewT<T>(dst, rows, cols, cols);
 }
 
-// One fast-algorithm step of C += A * B: the consumed level is
-// plan.levels.front(); the products recurse into the remaining levels.
+// One fast-algorithm step of C += A * B on at most `participants`
+// participants: the consumed level is plan.levels.front(); the products
+// recurse into the remaining levels.
 template <typename T>
 void run_node(const RecursiveExecT<T>& ctx, const Plan& plan, MatViewT<T> c,
-              ConstMatViewT<T> a, ConstMatViewT<T> b, int depth) {
+              ConstMatViewT<T> a, ConstMatViewT<T> b, int participants,
+              int depth) {
   const FmmAlgorithm& alg = plan.levels.front();
   const index_t m = c.rows(), n = c.cols(), k = a.cols();
   const index_t m1 = m - m % alg.mt;
@@ -234,10 +243,15 @@ void run_node(const RecursiveExecT<T>& ctx, const Plan& plan, MatViewT<T> c,
   }
 
   TaskPool& pool = TaskPool::current();
-  const int window = std::min(R, pool.workers());
+  const int window = std::min({R, participants, pool.workers()});
+  const int full = R - R % window;  // products of the full windows
   std::vector<ProductBufs<T>> bufs(static_cast<std::size_t>(window));
 
-  auto product = [&](int r, ProductBufs<T>& pb) {
+  // M_r = S_r T_r into pb on `parts` participants: 1 for a product of a
+  // window (its participant runs it serially), the node's budget for a
+  // leftover product (the gathers, the zeroing and the leaf or child node
+  // span the pool).
+  auto product = [&](int r, int parts, ProductBufs<T>& pb) {
     {
       obs::TraceScope prep("recurse.prep", "recurse");
       if (prep.active()) {
@@ -245,72 +259,98 @@ void run_node(const RecursiveExecT<T>& ctx, const Plan& plan, MatViewT<T> c,
                       (long long)ns, (long long)ks);
       }
       pb.sv = gather<T>(a, alg.rows_u(), alg.kt, ms, ks,
-                        [&](int i) { return alg.u(i, r); }, *ctx.buffers,
-                        pb.s);
+                        [&](int i) { return alg.u(i, r); }, parts,
+                        *ctx.buffers, pb.s);
       pb.tv = gather<T>(b, alg.rows_v(), alg.nt, ks, ns,
-                        [&](int j) { return alg.v(j, r); }, *ctx.buffers,
-                        pb.t);
+                        [&](int j) { return alg.v(j, r); }, parts,
+                        *ctx.buffers, pb.t);
       pb.m = ctx.buffers->acquire(lease_doubles<T>(ms * ns));
       T* mp = reinterpret_cast<T*>(pb.m.data());
-      std::memset(mp, 0, static_cast<std::size_t>(ms * ns) * sizeof(T));
+      for_rows(parts, ms, [&](index_t i) {
+        std::memset(mp + i * ns, 0, static_cast<std::size_t>(ns) * sizeof(T));
+      });
       pb.mv = MatViewT<T>(mp, ms, ns, ns);
     }
     if (descend) {
-      run_node(ctx, *child, pb.mv, pb.sv, pb.tv, depth + 1);
+      run_node(ctx, *child, pb.mv, pb.sv, pb.tv, parts, depth + 1);
     } else {
       obs::TraceScope leaf("recurse.leaf", "recurse");
       if (leaf.active()) {
-        leaf.set_argf("r=%d d=%d %lldx%lldx%lld", r, depth, (long long)ms,
-                      (long long)ns, (long long)ks);
+        leaf.set_argf("r=%d d=%d t=%d %lldx%lldx%lld", r, depth, parts,
+                      (long long)ms, (long long)ns, (long long)ks);
       }
-      ctx.leaf(child ? &*child : nullptr, pb.mv, pb.sv, pb.tv);
+      ctx.leaf(child ? &*child : nullptr, parts, pb.mv, pb.sv, pb.tv);
     }
     // Only M_r outlives the product: S_r / T_r go back now.
     pb.s.reset();
     pb.t.reset();
   };
 
-  const std::int64_t max_chunks = std::max<std::int64_t>(
-      {window, alg.rows_w(), static_cast<std::int64_t>(fringe.size())});
-  pool.parallel_region(0, max_chunks, [&](ParallelTeam& team) {
-    for (int r0 = 0; r0 < R; r0 += window) {
-      const int count = std::min(window, R - r0);
-      team.for_each(count, 1, [&](std::int64_t i, int) {
-        product(r0 + static_cast<int>(i), bufs[static_cast<std::size_t>(i)]);
+  // Rows [i0, i1) of quadrant C_p += w_pr M_r for the `count` products
+  // from r0 held in bufs, in ascending r: the fixed per-element order
+  // behind the determinism contract.
+  auto update = [&](int p, int r0, int count, index_t i0, index_t i1) {
+    obs::TraceScope upd("recurse.update", "recurse");
+    if (upd.active()) upd.set_argf("p=%d r0=%d d=%d", p, r0, depth);
+    std::vector<BlockTerm<T>> terms;
+    for (int i = 0; i < count; ++i) {
+      const double w = alg.w(p, r0 + i);
+      if (w != 0.0) {
+        terms.push_back({bufs[static_cast<std::size_t>(i)].mv.data(), w});
+      }
+    }
+    if (terms.empty()) return;
+    MatViewT<T> q = c.block((p / alg.nt) * ms, (p % alg.nt) * ns, ms, ns);
+    for (index_t i = i0; i < i1; ++i) {
+      scaled_adds_row(terms.data(), static_cast<int>(terms.size()), ns, i, ns,
+                      q.row(i));
+    }
+  };
+
+  // Phase 1: the full windows, one product per participant.
+  pool.parallel_region(
+      participants, std::max<std::int64_t>(window, alg.rows_w()),
+      [&](ParallelTeam& team) {
+    for (int r0 = 0; r0 < full; r0 += window) {
+      team.for_each(window, 1, [&](std::int64_t i, int) {
+        product(r0 + static_cast<int>(i), 1,
+                bufs[static_cast<std::size_t>(i)]);
       });
-      // Each quadrant takes the window's products in ascending r: the
-      // fixed per-element order behind the determinism contract.
-      team.for_each(alg.rows_w(), 1, [&](std::int64_t p64, int) {
-        const int p = static_cast<int>(p64);
-        obs::TraceScope upd("recurse.update", "recurse");
-        if (upd.active()) upd.set_argf("p=%d r0=%d d=%d", p, r0, depth);
-        std::vector<BlockTerm<T>> terms;
-        for (int i = 0; i < count; ++i) {
-          const double w = alg.w(p, r0 + i);
-          if (w != 0.0) {
-            terms.push_back({bufs[static_cast<std::size_t>(i)].mv.data(), w});
-          }
-        }
-        scaled_adds_serial(terms.data(), static_cast<int>(terms.size()), ns,
-                           c.block((p / alg.nt) * ms, (p % alg.nt) * ns, ms,
-                                   ns));
+      team.for_each(alg.rows_w(), 1, [&](std::int64_t p, int) {
+        update(static_cast<int>(p), r0, window, 0, ms);
       });
       for (ProductBufs<T>& pb : bufs) pb = ProductBufs<T>{};
     }
-    // The fringes write disjoint regions; the k fringe adds into the
-    // interior, after every product's update.
-    team.for_each(static_cast<std::int64_t>(fringe.size()), 1,
-                  [&](std::int64_t f, int) {
-      const PeelPiece& p = fringe[static_cast<std::size_t>(f)];
-      obs::TraceScope span("recurse.fringe", "recurse");
-      if (span.active()) {
-        span.set_argf("d=%d %lldx%lldx%lld", depth, (long long)(p.m1 - p.m0),
-                      (long long)(p.n1 - p.n0), (long long)(p.k1 - p.k0));
-      }
-      ctx.leaf(nullptr, c.block(p.m0, p.n0, p.m1 - p.m0, p.n1 - p.n0),
-               a.block(p.m0, p.k0, p.m1 - p.m0, p.k1 - p.k0),
-               b.block(p.k0, p.n0, p.k1 - p.k0, p.n1 - p.n0));
+  });
+
+  // Phase 2: the R mod window products left over, one at a time, each
+  // across every participant; the C update splits each quadrant into row
+  // bands.
+  const index_t bands = std::min<index_t>(participants, ms);
+  for (int r = full; r < R; ++r) {
+    product(r, participants, bufs[0]);
+    pool.parallel_for(participants, alg.rows_w() * bands, 1,
+                      [&](std::int64_t q, int) {
+      const index_t band = q % bands;
+      update(static_cast<int>(q / bands), r, 1, ms * band / bands,
+             ms * (band + 1) / bands);
     });
+    bufs[0] = ProductBufs<T>{};
+  }
+
+  // The fringes write disjoint regions; the k fringe adds into the
+  // interior, after every product's update.
+  pool.parallel_for(participants, static_cast<std::int64_t>(fringe.size()), 1,
+                    [&](std::int64_t f, int) {
+    const PeelPiece& p = fringe[static_cast<std::size_t>(f)];
+    obs::TraceScope span("recurse.fringe", "recurse");
+    if (span.active()) {
+      span.set_argf("d=%d %lldx%lldx%lld", depth, (long long)(p.m1 - p.m0),
+                    (long long)(p.n1 - p.n0), (long long)(p.k1 - p.k0));
+    }
+    ctx.leaf(nullptr, 1, c.block(p.m0, p.n0, p.m1 - p.m0, p.n1 - p.n0),
+             a.block(p.m0, p.k0, p.m1 - p.m0, p.k1 - p.k0),
+             b.block(p.k0, p.n0, p.k1 - p.k0, p.n1 - p.n0));
   });
 }
 
@@ -322,7 +362,10 @@ void run_recursive(const RecursiveExecT<T>& ctx, const Plan& plan,
                    ConstMatViewT<NoDeduce<T>> b) {
   assert(ctx.buffers != nullptr && ctx.leaf);
   assert(should_recurse(plan, c.rows(), c.cols(), a.cols(), ctx.cutoff));
-  run_node<T>(ctx, plan, c, a, b, /*depth=*/0);
+  const int participants = ctx.participants > 0
+                               ? ctx.participants
+                               : TaskPool::current().workers();
+  run_node<T>(ctx, plan, c, a, b, participants, /*depth=*/0);
 }
 
 template void run_recursive<double>(const RecursiveExecT<double>&,

@@ -12,36 +12,49 @@
 // is that top level, in three regimes:
 //
 //   1. recursive regime        — while min(m, n, k) > cutoff and plan
-//      levels remain, one fast-algorithm step runs as a fork-join region
-//      (TaskPool::parallel_region) on the calling thread's pool.  The R
-//      products go in windows of min(R, workers): a for_each over the
-//      window's products gathers S_r = Σ_i u_ir A_i and T_r = Σ_j v_jr B_j
-//      into pooled buffers (a quadrant with a single +1 term is aliased,
-//      not copied), zeroes M_r and computes M_r = S_r T_r by recursing or
-//      calling the leaf; then a for_each over the C quadrants p applies
-//      C_p += w_pr M_r for the window's r in ascending order;
+//      levels remain, one fast-algorithm step runs on the calling thread's
+//      pool with at most P participants (the request's thread budget,
+//      capped by the pool).  The R products are scheduled as Benson &
+//      Ballard's hybrid of product and data parallelism, in two phases:
+//        phase 1 — one fork-join region (TaskPool::parallel_region) runs
+//          the full windows of W = min(R, P) products: a for_each over the
+//          window's products gathers S_r = Σ_i u_ir A_i and
+//          T_r = Σ_j v_jr B_j into pooled buffers (a quadrant with a
+//          single +1 term is aliased, not copied), zeroes M_r and computes
+//          M_r = S_r T_r by recursing or calling the leaf, each product
+//          serially on one participant with a budget of 1; then a for_each
+//          over the C quadrants p applies C_p += w_pr M_r for the window's
+//          r in ascending order;
+//        phase 2 — the R mod W products left over run one at a time in
+//          ascending r, each across all P participants: the gathers, the
+//          zeroing and the C update split by rows, and the leaf (or the
+//          child node, with the full budget) runs P-wide;
+//      the dynamic-peeling fringes then run as a region of their own;
 //   2. compiled fast-leaf regime — at the cutoff each product becomes one
-//      cached FmmExecutor running the *remaining* plan levels serially;
+//      cached FmmExecutor running the *remaining* plan levels, serially in
+//      phase 1 and P-wide in phase 2;
 //   3. plain GEMM               — products that arrive with no levels left
-//      (and the dynamic-peeling fringes, run after the last window) run as
-//      ordinary blocked GEMMs.
+//      (and the fringes) run as ordinary blocked GEMMs.
 //
 // Determinism.  Every C element receives its updates in one fixed order —
-// r ascending within a quadrant, window after window, then the k fringe —
-// and every S/T gather and leaf is serial, so the result does not depend
-// on which participant ran what: it is **bitwise identical** across runs,
-// worker counts, and between a host call and a nested call on a busy
-// worker (where the region runs serially).  Results are *not* bitwise
-// identical to the flat FmmExecutor (summing u2·(Σ u1·a) per level
-// associates differently from the flat Kronecker gather); with the cutoff
-// at or above the problem size no descent happens and the flat path runs
-// unchanged.
+// r ascending within a quadrant, window after window, then the leftover
+// products, then the k fringe — every S/T element sums its terms in one
+// fixed order, and a leaf's bits do not depend on its thread count (the
+// fused loop nest splits only the i_c / j_r loops among threads).  So the
+// result does not depend on which participant ran what: it is **bitwise
+// identical** across runs, worker counts, participant budgets, and between
+// a host call and a nested call on a busy worker (where the regions run
+// serially).  Results are *not* bitwise identical to the flat FmmExecutor
+// (summing u2·(Σ u1·a) per level associates differently from the flat
+// Kronecker gather); with the cutoff at or above the problem size no
+// descent happens and the flat path runs unchanged.
 //
-// Memory.  A node holds leases for at most one window — min(R, workers)
-// products — at a time: S_r / T_r go back to the BufferPool as soon as
-// M_r is computed, the window's M buffers after its C updates and before
-// the next window's gathers.  A nested node (a product that recurses)
-// holds its own window below its parent's.
+// Memory.  A node holds leases for at most one window — W products — in
+// phase 1 and for one product in phase 2: S_r / T_r go back to the
+// BufferPool as soon as M_r is computed, M_r after its C update and before
+// the next product's gathers.  A nested node holds its own leases below
+// its parent's: one product at a time under a phase-1 product (budget 1),
+// a full window under a phase-2 product.
 //
 // Failure.  A gather, leaf or fringe that throws (std::bad_alloc from a
 // lease, an executor compile) stops the node after the current loop and
@@ -122,15 +135,20 @@ class BufferPool {
   std::size_t peak_bytes_ = 0;
 };
 
-// The serial leaf executor: computes c += a * b for one product.  `plan` is
-// the remaining (not yet recursed) levels, nullptr for plain GEMM — regimes
-// 2 and 3 above.  Called concurrently from a region's participants; it
-// must run serially (the node's products are the parallelism) and be
-// deterministic (same inputs -> same bits).  It may throw.  The Engine's
-// leaf routes plan leaves through its executor cache.
+// The leaf executor: computes c += a * b for one product on `threads`
+// participants.  `plan` is the remaining (not yet recursed) levels,
+// nullptr for plain GEMM — regimes 2 and 3 above.  A phase-1 product or a
+// fringe asks for 1 thread and is called concurrently from a region's
+// participants: it must then run serially (the node's products are the
+// parallelism).  A phase-2 product asks for the node's budget and may fork
+// up to that many participants on TaskPool::current().  Either way it must
+// be deterministic, with bits independent of `threads` (same inputs ->
+// same bits).  It may throw.  The Engine's leaf routes plan leaves through
+// its executor cache.
 template <typename T>
-using RecursiveLeafFnT = std::function<void(
-    const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b)>;
+using RecursiveLeafFnT =
+    std::function<void(const Plan* plan, int threads, MatViewT<T> c,
+                       ConstMatViewT<T> a, ConstMatViewT<T> b)>;
 
 // Everything one recursive execution needs; the pointed-to buffers must
 // outlive the call.  The BufferPool is shared across element types (it
@@ -142,6 +160,9 @@ struct RecursiveExecT {
   BufferPool* buffers = nullptr;
   RecursiveLeafFnT<T> leaf;
   index_t cutoff = 0;           // descend while min(m, n, k) > cutoff
+  // The request's participant budget P: the cap on the top node's region,
+  // its window and its phase-2 leaves; <= 0 = the pool's worker count.
+  int participants = 0;
 };
 using RecursiveExec = RecursiveExecT<double>;
 

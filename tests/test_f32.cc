@@ -238,14 +238,14 @@ TEST(F32Recursive, GraphBitwiseMatchesSequentialOracle) {
   const index_t n = 60;
   auto p = random_problem<float>(n, n, n, 23);
   BufferPool buffers;
-  GemmConfig cfg;
-  cfg.num_threads = 1;
   RecursiveExecT<float> ctx;
   ctx.buffers = &buffers;
   ctx.cutoff = 16;
-  ctx.leaf = [cfg](const Plan* leaf_plan, MatViewF32 c, ConstMatViewF32 a,
-                   ConstMatViewF32 b) {
+  ctx.leaf = [](const Plan* leaf_plan, int threads, MatViewF32 c,
+                ConstMatViewF32 a, ConstMatViewF32 b) {
     ASSERT_EQ(leaf_plan, nullptr);  // one level fully consumed
+    GemmConfig cfg;
+    cfg.num_threads = threads;
     gemm(c, a, b, cfg);
   };
   const std::vector<MatrixT<float>> runs = test::recursive_under_schedules(

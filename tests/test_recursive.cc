@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <new>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/catalog.h"
@@ -72,19 +77,20 @@ void expect_bitwise_equal(const Matrix& x, const Matrix& y) {
             0);
 }
 
-// A standalone RecursiveExec whose leaves are plain serial GEMMs — no
-// Engine, no executor cache — for the schedule-determinism tests.  Only
-// valid for plans fully consumed by the descent (child == nullptr at every
-// leaf).
+// A standalone RecursiveExec whose leaves are plain GEMMs on the threads
+// the descent asks for — no Engine, no executor cache — for the
+// schedule-determinism tests.  Only valid for plans fully consumed by the
+// descent (child == nullptr at every leaf).
 RecursiveExec gemm_leaf_ctx(BufferPool* buffers, index_t cutoff) {
   RecursiveExec ctx;
   ctx.buffers = buffers;
   ctx.cutoff = cutoff;
-  ctx.leaf = [](const Plan* plan, MatView c, ConstMatView a, ConstMatView b) {
+  ctx.leaf = [](const Plan* plan, int threads, MatView c, ConstMatView a,
+                ConstMatView b) {
     ASSERT_EQ(plan, nullptr) << "descent did not consume every level";
     static thread_local GemmWorkspace ws;
     GemmConfig cfg;
-    cfg.num_threads = 1;
+    cfg.num_threads = threads;
     gemm(c, a, b, ws, cfg);
   };
   return ctx;
@@ -267,9 +273,10 @@ TEST(RecursiveExecution, LeafExceptionFailsTheRequest) {
   RecursiveExec ctx = gemm_leaf_ctx(&buffers, 20);
   std::atomic<int> calls{0};
   const RecursiveLeafFnT<double> gemm_leaf = ctx.leaf;
-  ctx.leaf = [&](const Plan* lp, MatView c, ConstMatView a, ConstMatView b) {
+  ctx.leaf = [&](const Plan* lp, int threads, MatView c, ConstMatView a,
+                 ConstMatView b) {
     if (calls.fetch_add(1) == 2) throw std::bad_alloc();
-    gemm_leaf(lp, c, a, b);
+    gemm_leaf(lp, threads, c, a, b);
   };
   TaskPool pool(4);
   const Status st = pool.submit([&] {
@@ -359,6 +366,132 @@ TEST(RecursiveNested, OnWorkerSequentialMatchesHostGraph) {
   for (std::size_t i = 1; i < results.size(); ++i) {
     SCOPED_TRACE("run " + std::to_string(i));
     expect_bitwise_equal(results[i], results[0]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The hybrid schedule: full windows one product per participant, the
+// products left over after the last full window one at a time across the
+// whole budget.
+// ---------------------------------------------------------------------------
+
+// Exactly R mod window products reach the leaf asking for more than one
+// thread; every other product runs on a serial leaf.
+TEST(RecursiveHybrid, LeftoverProductsRunPoolWide) {
+  const Plan plan = one_level_plan();  // R = 7
+  const index_t n = 64;                // divisible: no fringe leaves
+  RandomProblem p = random_problem(n, n, n, 41);
+  BufferPool buffers;
+  RecursiveExec ctx = gemm_leaf_ctx(&buffers, 16);
+  const RecursiveLeafFnT<double> gemm_leaf = ctx.leaf;
+  std::atomic<int> serial{0}, wide{0};
+  ctx.leaf = [&](const Plan* lp, int threads, MatView c, ConstMatView a,
+                 ConstMatView b) {
+    (threads > 1 ? wide : serial).fetch_add(1);
+    gemm_leaf(lp, threads, c, a, b);
+  };
+  for (int workers : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    serial = 0;
+    wide = 0;
+    Matrix c = p.c.clone();
+    TaskPool pool(workers);
+    ASSERT_TRUE(pool.submit([&] {
+      run_recursive(ctx, plan, c.view(), p.a.view(), p.b.view());
+    }).status().ok());
+    const int window = std::min(7, workers);
+    EXPECT_EQ(wide.load(), 7 % window);
+    EXPECT_EQ(serial.load(), 7 - 7 % window);
+  }
+}
+
+// A budget of 2 on a 4-worker pool: no more than 2 leaves at once, on no
+// more than 2 threads, and the leftover product's leaf asks for 2.
+TEST(RecursiveHybrid, ParticipantBudgetCapsTheRegion) {
+  const Plan plan = one_level_plan();
+  const index_t n = 64;
+  RandomProblem p = random_problem(n, n, n, 43);
+  BufferPool buffers;
+  RecursiveExec ctx = gemm_leaf_ctx(&buffers, 16);
+  ctx.participants = 2;
+  const RecursiveLeafFnT<double> gemm_leaf = ctx.leaf;
+  std::mutex mu;
+  std::set<std::thread::id> active, seen;
+  std::size_t most_at_once = 0;
+  int most_threads = 0;
+  ctx.leaf = [&](const Plan* lp, int threads, MatView c, ConstMatView a,
+                 ConstMatView b) {
+    const std::thread::id me = std::this_thread::get_id();
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      active.insert(me);
+      seen.insert(me);
+      most_at_once = std::max(most_at_once, active.size());
+      most_threads = std::max(most_threads, threads);
+    }
+    // Long enough that leaves a wider region would run together overlap.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    gemm_leaf(lp, threads, c, a, b);
+    std::lock_guard<std::mutex> lk(mu);
+    active.erase(me);
+  };
+  TaskPool pool(4);
+  ASSERT_TRUE(pool.submit([&] {
+    run_recursive(ctx, plan, p.c.view(), p.a.view(), p.b.view());
+  }).status().ok());
+  EXPECT_LE(most_at_once, 2u);
+  EXPECT_LE(seen.size(), 2u);
+  EXPECT_EQ(most_threads, 2);  // window 2: 6 products, then 1 left over
+  ref_gemm(p.want.view(), p.a.view(), p.b.view());
+  EXPECT_LE(max_abs_diff(p.c.view(), p.want.view()), tol_for(n, 1));
+}
+
+// A leftover product's pool-wide leaf that throws fails the request and
+// returns every lease.
+TEST(RecursiveHybrid, PoolWideLeafExceptionFailsTheRequest) {
+  const Plan plan = two_level_plan();
+  const index_t n = 96;
+  RandomProblem p = random_problem(n, n, n, 47);
+  BufferPool buffers;
+  RecursiveExec ctx = gemm_leaf_ctx(&buffers, 20);
+  const RecursiveLeafFnT<double> gemm_leaf = ctx.leaf;
+  std::atomic<int> wide{0};
+  ctx.leaf = [&](const Plan* lp, int threads, MatView c, ConstMatView a,
+                 ConstMatView b) {
+    if (threads > 1) {
+      wide.fetch_add(1);
+      throw std::bad_alloc();
+    }
+    gemm_leaf(lp, threads, c, a, b);
+  };
+  TaskPool pool(4);
+  const Status st = pool.submit([&] {
+    run_recursive(ctx, plan, p.c.view(), p.a.view(), p.b.view());
+  }).status();
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(wide.load(), 1);  // the first pool-wide leaf stops the request
+  EXPECT_EQ(buffers.outstanding(), 0u);
+}
+
+// The Engine's budget is the request's num_threads: every budget on a
+// 4-worker engine gives the bits of the default (all-worker) request.
+TEST(RecursiveHybrid, EngineBitsIndependentOfThreadBudget) {
+  const Plan plan = two_level_plan();
+  const index_t n = 96;
+  RandomProblem p = random_problem(n, n, n, 53);
+  Engine::Options o;
+  o.recurse_cutoff = 20;
+  o.workers = 4;
+  Engine e(o);
+  Matrix want = p.c.clone();
+  ASSERT_TRUE(e.multiply(plan, want.view(), p.a.view(), p.b.view()).ok());
+  for (int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    GemmConfig cfg;
+    cfg.num_threads = threads;
+    Matrix c = p.c.clone();
+    ASSERT_TRUE(e.multiply(plan, c.view(), p.a.view(), p.b.view(), cfg).ok());
+    expect_bitwise_equal(c, want);
   }
 }
 

@@ -110,8 +110,10 @@ inline void expect_fmm_matches_ref(const Plan& plan, index_t m, index_t n,
 // --------------------------------------------------------------------------
 
 // C0 + A * B by run_recursive under each schedule its determinism contract
-// covers: inside a task of a TaskPool of 1 (the serial schedule), 2 and 8
-// workers; from the host thread (the process-default pool); and nested,
+// covers: inside a task of a TaskPool of 1 (the serial schedule), 2, 3, 4
+// and 8 workers (for a 7-product level: 0, 1, 1, 3 and 0 products left
+// over after the last full window, each run across the whole pool); from
+// the host thread (the process-default pool); and nested,
 // two calls at once as the participants of a region on a 2-worker pool,
 // whose own regions then find the pool busy and run (mostly) serially.
 // Every result is returned for a bitwise comparison; a failing run fails
@@ -121,7 +123,7 @@ std::vector<MatrixT<T>> recursive_under_schedules(
     const RecursiveExecT<T>& ctx, const Plan& plan, const MatrixT<T>& c0,
     ConstMatViewT<NoDeduce<T>> a, ConstMatViewT<NoDeduce<T>> b) {
   std::vector<MatrixT<T>> out;
-  for (int workers : {1, 2, 8}) {
+  for (int workers : {1, 2, 3, 4, 8}) {
     MatrixT<T> c = c0.clone();
     TaskPool pool(workers);
     const Status st = pool.submit([&] {
