@@ -17,12 +17,15 @@
 // disabled vs descent at --cutoff — and reports which regime fired and
 // what it cost.  It also shows the determinism contract: recursive runs
 // are bitwise reproducible run-to-run, and with the cutoff at the problem
-// size the recursive engine is bitwise identical to flat.
+// size the recursive engine is bitwise identical to flat.  The exit status
+// is non-zero when a multiply returns a non-OK Status or a bitwise check
+// fails.
 //
 //   $ ./hybrid_levels --n 1536 --cutoff 384
 //   $ FMM_RECURSE_CUTOFF=512 ./hybrid_levels     # env default, same knob
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
@@ -41,6 +44,14 @@ int main(int argc, char** argv) {
       cli.get_int("cutoff", 384, "recursive leaf cutoff (see below)");
   const int reps = cli.get_int("reps", 3, "timing repetitions");
   cli.finish();
+
+  // Every multiply goes through here: a non-OK Status ends the walkthrough.
+  auto check = [](const Status& st) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "multiply failed: %s\n", st.to_string().c_str());
+      std::exit(1);
+    }
+  };
 
   Matrix a = Matrix::random(n, n, 1);
   Matrix b = Matrix::random(n, n, 2);
@@ -94,7 +105,7 @@ int main(int argc, char** argv) {
     const bool descends = should_recurse(e.plan, n, n, n, cutoff);
     auto run = [&](Engine& eng, Matrix& dst) {
       std::memset(dst.data(), 0, bytes);
-      (void)eng.multiply(e.plan, dst.view(), a.view(), b.view());
+      check(eng.multiply(e.plan, dst.view(), a.view(), b.view()));
     };
     run(flat, c_ref);  // warm (compile executors) + reference result
     run(recursive, c);
@@ -115,10 +126,11 @@ int main(int argc, char** argv) {
   const Plan& two_level = entries[2].plan;
   Matrix r1 = Matrix::zero(n, n);
   Matrix r2 = Matrix::zero(n, n);
-  (void)recursive.multiply(two_level, r1.view(), a.view(), b.view());
-  (void)recursive.multiply(two_level, r2.view(), a.view(), b.view());
+  check(recursive.multiply(two_level, r1.view(), a.view(), b.view()));
+  check(recursive.multiply(two_level, r2.view(), a.view(), b.view()));
+  const bool reproducible = std::memcmp(r1.data(), r2.data(), bytes) == 0;
   std::printf("two recursive runs bitwise identical: %s\n",
-              std::memcmp(r1.data(), r2.data(), bytes) == 0 ? "yes" : "NO");
+              reproducible ? "yes" : "NO");
 
   // Determinism, part 2: with the cutoff at the problem size the engine
   // never descends, and the result is bitwise identical to flat (a
@@ -127,9 +139,10 @@ int main(int argc, char** argv) {
   Engine::Options at_size;
   at_size.recurse_cutoff = n;
   Engine no_descent(at_size);
-  (void)no_descent.multiply(two_level, r1.view(), a.view(), b.view());
-  (void)flat.multiply(two_level, r2.view(), a.view(), b.view());
+  check(no_descent.multiply(two_level, r1.view(), a.view(), b.view()));
+  check(flat.multiply(two_level, r2.view(), a.view(), b.view()));
+  const bool flat_at_size = std::memcmp(r1.data(), r2.data(), bytes) == 0;
   std::printf("cutoff-at-size engine bitwise identical to flat: %s\n",
-              std::memcmp(r1.data(), r2.data(), bytes) == 0 ? "yes" : "NO");
-  return 0;
+              flat_at_size ? "yes" : "NO");
+  return reproducible && flat_at_size ? 0 : 1;
 }

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <new>
+#include <optional>
 
 #include "src/arch/cache_info.h"
 #include "src/arch/calibrate.h"
@@ -244,6 +246,41 @@ GemmWorkspaceT<T>& gemm_workspace() {
   return ws;
 }
 
+// The request's plan, copied (an async submit must not depend on the
+// caller's Plan outliving it) and stamped with the request's element type,
+// dropping a pinned kernel of the other type, before any cache keying: one
+// Plan value serves both precisions without cross-dtype hits.  Empty on
+// the auto path.
+std::optional<Plan> stamp_plan(const Plan* plan, DType dtype) {
+  if (plan == nullptr) return std::nullopt;
+  Plan p = *plan;
+  if (p.dtype != dtype) {
+    p.dtype = dtype;
+    if (p.kernel != nullptr && p.kernel->dtype != dtype) p.kernel = nullptr;
+  }
+  return p;
+}
+
+// Runs a request body and maps what it throws to a Status: an allocation
+// failure is kResourceExhausted, anything else kInvalidArgument.  The
+// allocation-failure message fits the small-string buffer, so reporting
+// it allocates nothing.
+template <typename Body>
+Status run_guarded(Body&& body) {
+  try {
+    body();
+    return Status{};
+  } catch (const std::bad_alloc&) {
+    return Status::error(StatusCode::kResourceExhausted, "out of memory");
+  } catch (const std::exception& e) {
+    return Status::error(StatusCode::kInvalidArgument,
+                         std::string("request threw: ") + e.what());
+  } catch (...) {
+    return Status::error(StatusCode::kInvalidArgument,
+                         "request threw a non-std exception");
+  }
+}
+
 // Evicts the least-recently-used entry (smallest tick) by copying the back
 // entry over it.  Shared by the executor and choice caches; entry types
 // need a `tick` member.  Callers hold the cache's mutex and bump their own
@@ -262,18 +299,6 @@ std::size_t env_cache_capacity() {
       "FMM_ENGINE_CACHE", 1, std::numeric_limits<long>::max());
   return v.has_value() ? static_cast<std::size_t>(*v)
                        : Engine::kDefaultCacheCapacity;
-}
-
-std::size_t env_choice_capacity(std::size_t fallback) {
-  const std::optional<long> v = parse_env_long(
-      "FMM_CHOICE_CACHE", 1, std::numeric_limits<long>::max());
-  return v.has_value() ? static_cast<std::size_t>(*v) : fallback;
-}
-
-std::uint64_t env_history_min() {
-  constexpr std::uint64_t kDefault = PerfHistory::Tuning{}.min_observations;
-  const std::optional<long> v = parse_env_long("FMM_HISTORY_MIN", 1, 1L << 30);
-  return v.has_value() ? static_cast<std::uint64_t>(*v) : kDefault;
 }
 
 std::string env_history_path() {
@@ -384,9 +409,7 @@ Engine::Engine(const Options& opts)
   for (int s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  choice_cap_ = opts.choice_capacity > 0
-                    ? opts.choice_capacity
-                    : env_choice_capacity(8 * cap_total_);
+  choice_cap_ = 8 * cap_total_;
 
   // The calibration rate cache is process-wide; a per-engine path override
   // therefore applies process-wide too (documented in Options).
@@ -397,11 +420,6 @@ Engine::Engine(const Options& opts)
   history_enabled_ = opts.history.has_value()
                          ? *opts.history
                          : parse_env_flag("FMM_HISTORY", true);
-  PerfHistory::Tuning tuning;
-  tuning.min_observations = opts.history_min_observations > 0
-                                ? opts.history_min_observations
-                                : env_history_min();
-  history_.set_tuning(tuning);
   history_path_ =
       !opts.history_path.empty() ? opts.history_path : env_history_path();
   if (history_enabled_ && !history_path_.empty()) {
@@ -709,16 +727,20 @@ ModelParams Engine::params(DType dtype) const {
 }
 
 // ---------------------------------------------------------------------------
-// Execution bodies.  Operands are pre-validated by the submit_* layer; these
-// run either on a pool worker (async) or inline (nested calls from tasks).
+// Execution.  Every request is lowered to shape groups — one (m, n, k) and
+// a BatchAccessT over its operand triples; a single request is a group of
+// one item — and every group runs through exec().  Operands are validated
+// by the submit layer first.
 // ---------------------------------------------------------------------------
 
 template <typename T>
-Status Engine::exec_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
-                           ConstMatViewT<T> b, const GemmConfig& cfg,
-                           std::shared_ptr<const AutoChoice>* executed) {
+void Engine::exec(const Plan* plan, const BatchAccessT<T>& group,
+                  const GemmConfig& cfg,
+                  std::shared_ptr<const AutoChoice>* executed) {
   constexpr DType kDt = DTypeOf<T>::value;
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
+  assert(group.count > 0);
+  const BatchItemT<T> first = group.at(0);
+  const index_t m = first.c.rows(), n = first.c.cols(), k = first.a.cols();
   std::shared_ptr<const AutoChoice> choice;  // owns *plan on the auto path
   if (plan == nullptr) {
     choice = choice_handle(m, n, k, kDt);
@@ -727,75 +749,26 @@ Status Engine::exec_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
       // The gemm fallback bypasses FmmExecutor and its timing hook, so the
       // auto path observes it here (explicit-plan calls have no gemm arm).
       Timer t;
-      gemm(c, a, b, gemm_workspace<T>(), cfg);
-      record_gemm(m, n, k, cfg, kDt, t.seconds(), 1);
-      return Status{};
+      for (std::size_t i = 0; i < group.count; ++i) {
+        const BatchItemT<T> it = group.at(i);
+        gemm(it.c, it.a, it.b, gemm_workspace<T>(), cfg);
+      }
+      record_gemm(m, n, k, cfg, kDt, t.seconds(), group.count);
+      return;
     }
     plan = &*choice->plan;
   }
   if (should_recurse(*plan, m, n, k, recurse_cutoff_)) {
-    recursive_runs_->add();
-    run_recursive<T>(recursive_ctx<T>(cfg), *plan, c, a, b);
-    return Status{};
-  }
-  executor_for<T>(*plan, m, n, k, cfg)->run(c, a, b);
-  return Status{};
-}
-
-template <typename T>
-Status Engine::exec_group(const Plan* plan, index_t m, index_t n, index_t k,
-                          const BatchItemT<T>* items, std::size_t count,
-                          const GemmConfig& cfg) {
-  constexpr DType kDt = DTypeOf<T>::value;
-  const Plan* group_plan = plan;
-  std::shared_ptr<const AutoChoice> choice;
-  if (group_plan == nullptr) {
-    choice = choice_handle(m, n, k, kDt);
-    if (choice->use_gemm) {
-      Timer t;
-      for (std::size_t i = 0; i < count; ++i) {
-        gemm(items[i].c, items[i].a, items[i].b, gemm_workspace<T>(), cfg);
-      }
-      record_gemm(m, n, k, cfg, kDt, t.seconds(), count);
-      return Status{};
+    const RecursiveExecT<T> ctx = recursive_ctx<T>(cfg);
+    for (std::size_t i = 0; i < group.count; ++i) {
+      const BatchItemT<T> it = group.at(i);
+      recursive_runs_->add();
+      run_recursive<T>(ctx, *plan, it.c, it.a, it.b);
     }
-    group_plan = &*choice->plan;
+    return;
   }
-  executor_for<T>(*group_plan, m, n, k, cfg)->run_batch(items, count);
-  return Status{};
+  executor_for<T>(*plan, m, n, k, cfg)->run_batch(group);
 }
-
-template <typename T>
-Status Engine::exec_strided(const Plan* plan, const StridedBatchT<T>& sb,
-                            const GemmConfig& cfg) {
-  constexpr DType kDt = DTypeOf<T>::value;
-  const Plan* batch_plan = plan;
-  std::shared_ptr<const AutoChoice> choice;
-  if (batch_plan == nullptr) {
-    choice = choice_handle(sb.m, sb.n, sb.k, kDt);
-    if (choice->use_gemm) {
-      Timer t;
-      for (std::size_t i = 0; i < sb.count; ++i) {
-        const index_t off = static_cast<index_t>(i);
-        gemm(MatViewT<T>(sb.c + off * sb.stride_c, sb.m, sb.n, sb.ldc),
-             ConstMatViewT<T>(sb.a + off * sb.stride_a, sb.m, sb.k, sb.lda),
-             ConstMatViewT<T>(sb.b + off * sb.stride_b, sb.k, sb.n, sb.ldb),
-             gemm_workspace<T>(), cfg);
-      }
-      record_gemm(sb.m, sb.n, sb.k, cfg, kDt, t.seconds(), sb.count);
-      return Status{};
-    }
-    batch_plan = &*choice->plan;
-  }
-  executor_for<T>(*batch_plan, sb.m, sb.n, sb.k, cfg)->run_batch_strided(sb);
-  return Status{};
-}
-
-// ---------------------------------------------------------------------------
-// Submit layer: synchronous validation, then queue (or inline on a pool
-// worker — a task blocking on another task's future could deadlock a fully
-// busy pool, so nested calls never wait on the queue).
-// ---------------------------------------------------------------------------
 
 template <typename T>
 RecursiveExecT<T> Engine::recursive_ctx(const GemmConfig& cfg) {
@@ -827,51 +800,60 @@ RecursiveExecT<T> Engine::recursive_ctx(const GemmConfig& cfg) {
   return ctx;
 }
 
+// ---------------------------------------------------------------------------
+// Submit layer: synchronous validation, then dispatch().
+// ---------------------------------------------------------------------------
+
+// The one request lifecycle.  body(plan) runs with the request's plan
+// stamped for T (nullptr on the auto path): inline on a pool worker — a
+// task blocking on another task's future could deadlock a fully busy pool,
+// so nested calls never wait on the queue — else as one task on the
+// engine's pool.  Either way a throw becomes a Status (run_guarded) and the
+// request observation is recorded where the work finishes, covering queue
+// wait.  Observation starts here, after validation: a rejected request is
+// not traffic.
+template <typename T, typename Body>
+TaskFuture Engine::dispatch(const Plan* plan, RequestPath path, index_t m,
+                            index_t n, index_t k, std::size_t items,
+                            Body body) {
+  constexpr DType kDt = DTypeOf<T>::value;
+  const std::uint64_t t0 = request_start();
+  auto finish = [this, path, m, n, k, items, t0](Status st) {
+    observe_request(path, m, n, k, items, t0);
+    return st;
+  };
+  if (TaskPool::on_worker_thread()) {
+    return TaskFuture::ready(finish(run_guarded([&] {
+      const std::optional<Plan> p = stamp_plan(plan, kDt);
+      body(p ? &*p : nullptr);
+    })));
+  }
+  // The host's own allocations (the plan copy, the task, its future) fail
+  // into the same Status as the body's.
+  TaskFuture queued;
+  Status st = run_guarded([&] {
+    queued = pool().submit([finish, body = std::move(body),
+                            p = stamp_plan(plan, kDt)]() {
+      return finish(run_guarded([&] { body(p ? &*p : nullptr); }));
+    });
+  });
+  return st.ok() ? queued : TaskFuture::ready(finish(std::move(st)));
+}
+
 template <typename T>
 TaskFuture Engine::submit_single(const Plan* plan, MatViewT<T> c,
                                  ConstMatViewT<T> a, ConstMatViewT<T> b,
                                  const GemmConfig& cfg,
                                  std::shared_ptr<const AutoChoice>* executed) {
-  constexpr DType kDt = DTypeOf<T>::value;
   Status st = validate_triple(c, a, b);
   if (!st.ok()) return TaskFuture::ready(std::move(st));
-  // Request observation starts after validation (a rejected request is not
-  // traffic) and follows the work wherever it runs: the span / latency
-  // sample is recorded where the execution finishes, covering queue wait.
-  const std::uint64_t req_t0 = request_start();
-  const RequestPath req_path =
-      plan != nullptr ? RequestPath::kExplicit : RequestPath::kAuto;
-  // Element type is a plan property: stamp the request's dtype (and drop a
-  // wrong-dtype pinned kernel) on a local copy before any cache keying, so
-  // one Plan value serves both precisions without cross-dtype hits.
-  Plan stamped;
-  if (plan != nullptr && plan->dtype != kDt) {
-    stamped = *plan;
-    stamped.dtype = kDt;
-    if (stamped.kernel != nullptr && stamped.kernel->dtype != kDt) {
-      stamped.kernel = nullptr;
-    }
-    plan = &stamped;
-  }
-  if (TaskPool::on_worker_thread()) {
-    Status inline_st = exec_single<T>(plan, c, a, b, cfg, executed);
-    observe_request(req_path, c.rows(), c.cols(), a.cols(), 1, req_t0);
-    return TaskFuture::ready(std::move(inline_st));
-  }
-  if (plan == nullptr) {
-    return pool().submit([this, c, a, b, cfg, executed, req_t0, req_path] {
-      Status es = exec_single<T>(nullptr, c, a, b, cfg, executed);
-      observe_request(req_path, c.rows(), c.cols(), a.cols(), 1, req_t0);
-      return es;
-    });
-  }
-  // The plan is copied: the caller's need not outlive an async submit.
-  return pool().submit([this, p = *plan, c, a, b, cfg, executed, req_t0,
-                        req_path] {
-    Status es = exec_single<T>(&p, c, a, b, cfg, executed);
-    observe_request(req_path, c.rows(), c.cols(), a.cols(), 1, req_t0);
-    return es;
-  });
+  const BatchItemT<T> item{c, a, b};
+  return dispatch<T>(
+      plan, plan != nullptr ? RequestPath::kExplicit : RequestPath::kAuto,
+      c.rows(), c.cols(), a.cols(), 1,
+      [this, item, cfg, executed](const Plan* p) {
+        exec<T>(p, BatchAccessT<T>::of(&item, 1), cfg, executed);
+      });
 }
 
 template <typename T>
@@ -884,17 +866,6 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
         std::string("batch element type is ") + dtype_name(batch.dtype()) +
             ", expected " + dtype_name(kDt)));
   }
-  std::shared_ptr<const Plan> plan_copy;
-  if (plan != nullptr) {
-    Plan p = *plan;
-    if (p.dtype != kDt) {
-      p.dtype = kDt;
-      if (p.kernel != nullptr && p.kernel->dtype != kDt) p.kernel = nullptr;
-    }
-    plan_copy = std::make_shared<const Plan>(std::move(p));
-  }
-  const Plan* plan_ptr = plan_copy.get();
-  const std::uint64_t req_t0 = request_start();
 
   if (batch.is_strided()) {
     StridedBatchT<T> sb = batch.strided_as<T>();
@@ -903,16 +874,10 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
     if (sb.count == 0 || sb.m == 0 || sb.n == 0) {
       return TaskFuture::ready(Status{});
     }
-    if (TaskPool::on_worker_thread()) {
-      Status es = exec_strided<T>(plan_ptr, sb, cfg);
-      observe_request(RequestPath::kBatch, sb.m, sb.n, sb.k, sb.count, req_t0);
-      return TaskFuture::ready(std::move(es));
-    }
-    return pool().submit([this, plan_copy, sb, cfg, req_t0] {
-      Status es = exec_strided<T>(plan_copy.get(), sb, cfg);
-      observe_request(RequestPath::kBatch, sb.m, sb.n, sb.k, sb.count, req_t0);
-      return es;
-    });
+    return dispatch<T>(plan, RequestPath::kBatch, sb.m, sb.n, sb.k, sb.count,
+                       [this, sb, cfg](const Plan* p) {
+                         exec<T>(p, BatchAccessT<T>::of(sb), cfg, nullptr);
+                       });
   }
 
   const BatchItemT<T>* items = batch.items_as<T>();
@@ -936,63 +901,39 @@ TaskFuture Engine::submit_batch(const Plan* plan, const BatchSpec& batch,
 
   // Group by (m, n, k), preserving arrival order per group.  The items are
   // copied: the caller's array need not outlive an async submit.
-  struct Group {
-    index_t m, n, k;
-    std::vector<BatchItemT<T>> items;
-  };
+  using Group = std::vector<BatchItemT<T>>;
   std::vector<Group> groups;
-  for (std::size_t i = 0; i < count; ++i) {
-    const index_t m = items[i].c.rows(), n = items[i].c.cols(),
-                  k = items[i].a.cols();
-    Group* g = nullptr;
-    for (Group& cand : groups) {
-      if (cand.m == m && cand.n == n && cand.k == k) {
-        g = &cand;
-        break;
-      }
+  st = run_guarded([&] {
+    for (std::size_t i = 0; i < count; ++i) {
+      const BatchItemT<T>& it = items[i];
+      auto g = std::find_if(groups.begin(), groups.end(), [&](const Group& x) {
+        return x[0].c.rows() == it.c.rows() && x[0].c.cols() == it.c.cols() &&
+               x[0].a.cols() == it.a.cols();
+      });
+      if (g == groups.end()) g = groups.insert(groups.end(), Group{});
+      g->push_back(it);
     }
-    if (g == nullptr) {
-      groups.push_back({m, n, k, {}});
-      g = &groups.back();
-    }
-    g->items.push_back(items[i]);
-  }
-
-  if (TaskPool::on_worker_thread()) {
-    for (const Group& g : groups) {
-      Status gs = exec_group<T>(plan_ptr, g.m, g.n, g.k, g.items.data(),
-                                g.items.size(), cfg);
-      if (!gs.ok()) return TaskFuture::ready(std::move(gs));
-    }
-    observe_request(RequestPath::kBatch, 0, 0, 0, count, req_t0);
-    return TaskFuture::ready(Status{});
-  }
-
-  // One task per batch.  Several shape groups share it as a fork-join
-  // region, one group per chunk (each hits its own cached executor), so
-  // the groups overlap even when each multiply runs serially.  The request
-  // span closes here, covering every group (shape 0x0x0 marks a
-  // cross-shape batch).
-  return pool().submit([this, plan_copy, groups = std::move(groups), cfg,
-                        count, req_t0] {
-    std::vector<Status> st(groups.size());
-    TaskPool::current().parallel_for(
-        0, static_cast<std::int64_t>(groups.size()), 1,
-        [&](std::int64_t i, int) {
-          const Group& g = groups[static_cast<std::size_t>(i)];
-          st[static_cast<std::size_t>(i)] = exec_group<T>(
-              plan_copy.get(), g.m, g.n, g.k, g.items.data(), g.items.size(),
-              cfg);
-        });
-    const bool one = groups.size() == 1;
-    observe_request(RequestPath::kBatch, one ? groups[0].m : 0,
-                    one ? groups[0].n : 0, one ? groups[0].k : 0, count,
-                    req_t0);
-    for (Status& s : st) {
-      if (!s.ok()) return s;
-    }
-    return Status{};
   });
+  if (!st.ok()) return TaskFuture::ready(std::move(st));
+  // The request span covers every group (shape 0x0x0 marks a cross-shape
+  // batch).
+  const bool one = groups.size() == 1;
+  const BatchItemT<T> first = groups[0][0];
+  return dispatch<T>(
+      plan, RequestPath::kBatch, one ? first.c.rows() : 0,
+      one ? first.c.cols() : 0, one ? first.a.cols() : 0, count,
+      [this, groups = std::move(groups), cfg](const Plan* p) {
+        // One fork-join region, one group per chunk (each hits its own
+        // cached executor), so the groups overlap even when each multiply
+        // runs serially.
+        TaskPool::current().parallel_for(
+            0, static_cast<std::int64_t>(groups.size()), 1,
+            [&](std::int64_t i, int) {
+              const Group& g = groups[static_cast<std::size_t>(i)];
+              exec<T>(p, BatchAccessT<T>::of(g.data(), g.size()), cfg,
+                      nullptr);
+            });
+      });
 }
 
 // ---------------------------------------------------------------------------

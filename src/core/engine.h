@@ -19,12 +19,17 @@
 //     interleaved layout (base pointer + batch stride per operand, expanded
 //     on the fly — no view array is materialized), and cross-shape batches
 //     which Engine groups by (m, n, k) and fans out to one cached executor
-//     per shape.
+//     per shape.  A batch item runs exactly as the same multiply sent
+//     alone (above the recursive cutoff it descends), so a batch and the
+//     per-item loop produce the same bits.
 //
 //   * **recoverable errors**: every entry point validates the request and
 //     returns a Status instead of asserting, so a serving process survives
 //     a malformed request.  Validation runs before any arithmetic — a batch
-//     with one bad item computes nothing.
+//     with one bad item computes nothing.  A failure during execution is a
+//     Status too, inline or queued alike: an allocation failure is
+//     kResourceExhausted, any other exception kInvalidArgument (C may then
+//     be partially updated).
 //
 //   * an **online performance model**: every execution's wall time is
 //     recorded into a footprint-keyed history store (src/model/history.h)
@@ -38,14 +43,18 @@
 //   * an **async surface**: submit(...) mirrors every multiply(...) form
 //     and returns a TaskFuture<Status> immediately (validation still runs
 //     synchronously — a malformed request resolves before any task is
-//     queued).  Each request is one task on the engine's TaskPool
-//     (task_pool.h); inside it, all parallelism is fork-join on the same
-//     pool — the BLIS loops, the products of a recursive descent, and the
-//     shape groups of a cross-shape item batch, which overlap even when
-//     each multiply runs serially.  multiply() itself is submit + wait —
-//     one execution path — except when called *from* a pool worker (a
-//     task body doing a nested synchronous multiply), which executes
-//     inline: a task blocking on another task's future could deadlock a
+//     queued).  Every request takes one path: it is lowered to shape
+//     groups (one (m, n, k) plus a BatchAccessT over its operand triples;
+//     a single request is a group of one item), and one dispatch runs it
+//     as one task on the engine's TaskPool (task_pool.h), where each group
+//     goes through one exec (auto-path GEMM arm, recursive descent, or a
+//     cached executor).  Inside the task, all parallelism is fork-join on
+//     the same pool — the BLIS loops, the products of a recursive descent,
+//     and the shape groups of a cross-shape item batch, which overlap even
+//     when each multiply runs serially.  multiply() itself is submit +
+//     wait, except when called *from* a pool worker (a task body doing a
+//     nested synchronous multiply): the same dispatch then executes inline,
+//     because a task blocking on another task's future could deadlock a
 //     fully busy pool, while an inline region simply runs serially there.
 //
 // Thread-safety: every public method may be called from any number of host
@@ -173,10 +182,8 @@ class Engine {
 
     // Executor-cache capacity (entries).  0 = FMM_ENGINE_CACHE env, else
     // kDefaultCacheCapacity.  Rounded up to a multiple of the shard count.
+    // The auto path's per-shape choice cache holds 8x as many entries.
     std::size_t cache_capacity = 0;
-    // Auto-path choice-cache capacity.  0 = FMM_CHOICE_CACHE env, else 8x
-    // the executor capacity.
-    std::size_t choice_capacity = 0;
     // Mutex shards for the executor cache.  0 = kDefaultShards, clamped to
     // the capacity.
     int shards = 0;
@@ -195,15 +202,14 @@ class Engine {
     // by every engine in the process); empty defers to the env.
     std::string calib_cache_path;
     // Online performance model (src/model/history.h).  history: engaged
-    // value wins, nullopt = FMM_HISTORY env flag, default on.
+    // value wins, nullopt = FMM_HISTORY env flag, default on.  Its
+    // confidence gate (observations before a measured rate may override
+    // the analytic ranking, default 10) is history().set_tuning(...).
     std::optional<bool> history;
     // Persistence file for the history store: loaded in the constructor,
     // saved in the destructor (and by save_history()).  Empty =
     // FMM_HISTORY_CACHE env; empty everywhere = in-memory only.
     std::string history_path;
-    // Observations before a measured rate may override the analytic
-    // ranking.  0 = FMM_HISTORY_MIN env, else 10.
-    std::size_t history_min_observations = 0;
     // Recursive descent cutoff (src/core/recursive.h): multiplies whose
     // every dimension exceeds the cutoff run one fast-algorithm level on
     // the request's threads and recurse, handing each product below the
@@ -243,7 +249,8 @@ class Engine {
     std::uint64_t history_hits = 0;      // rankings that used measured data
     std::uint64_t history_overrides = 0; // rankings where measured flipped
                                          // the analytic winner
-    std::uint64_t recursive_runs = 0;    // multiplies that descended into
+    std::uint64_t recursive_runs = 0;    // multiplies (batch items count
+                                         // one each) that descended into
                                          // the recursive path
   };
 
@@ -430,9 +437,17 @@ class Engine {
   std::shared_ptr<FmmExecutorT<T>> executor_for(const Plan& plan, index_t m,
                                                 index_t n, index_t k,
                                                 const GemmConfig& cfg);
-  // submit_* validate, then either queue the work or (on a pool worker
-  // thread) run exec_* inline; every multiply/submit form lands here.
-  // Explicitly instantiated for double and float in engine.cc.
+  // Request observation.  request_start() is the capture gate: the
+  // submit-time clock read happens only when tracing or metrics capture is
+  // on (0 otherwise, and observe_request is then a no-op).  The span /
+  // latency sample covers queue wait + execution per path.
+  enum class RequestPath { kExplicit, kAuto, kBatch };
+  std::uint64_t request_start() const;
+  void observe_request(RequestPath path, index_t m, index_t n, index_t k,
+                       std::size_t items, std::uint64_t t0);
+  // submit_* validate the request and lower it to shape groups; every
+  // multiply/submit form lands here.  Explicitly instantiated for double
+  // and float in engine.cc.
   template <typename T>
   TaskFuture submit_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
                            ConstMatViewT<T> b, const GemmConfig& cfg,
@@ -440,17 +455,19 @@ class Engine {
   template <typename T>
   TaskFuture submit_batch(const Plan* plan, const BatchSpec& batch,
                           const GemmConfig& cfg);
+  // The one request lifecycle: stamps the plan for T, runs body(plan)
+  // inline on a pool worker or as one task on the pool, maps a throw to a
+  // Status the same way on both, and records the request observation.
+  template <typename T, typename Body>
+  TaskFuture dispatch(const Plan* plan, RequestPath path, index_t m,
+                      index_t n, index_t k, std::size_t items, Body body);
+  // Runs one shape group (count >= 1): the auto-path choice lookup (its
+  // snapshot stored through `executed` when non-null), then the timed GEMM
+  // arm, a recursive descent per item, or the cached executor's run_batch.
+  // Throws what the execution throws.
   template <typename T>
-  Status exec_single(const Plan* plan, MatViewT<T> c, ConstMatViewT<T> a,
-                     ConstMatViewT<T> b, const GemmConfig& cfg,
-                     std::shared_ptr<const AutoChoice>* executed);
-  template <typename T>
-  Status exec_group(const Plan* plan, index_t m, index_t n, index_t k,
-                    const BatchItemT<T>* items, std::size_t count,
-                    const GemmConfig& cfg);
-  template <typename T>
-  Status exec_strided(const Plan* plan, const StridedBatchT<T>& sb,
-                      const GemmConfig& cfg);
+  void exec(const Plan* plan, const BatchAccessT<T>& group,
+            const GemmConfig& cfg, std::shared_ptr<const AutoChoice>* executed);
   TaskPool& pool();
   // The leaf/buffer/cutoff bundle the recursive descent runs with under
   // `cfg`, with threads_for(cfg) as its participant budget: leaves execute
@@ -477,14 +494,6 @@ class Engine {
   // and gemm arm alike: history (under `hkey` when non-null), the GFLOP/s
   // and batch-size histograms, and the "executor.run" trace span.
   void observe_execution(const ExecObservation& o, const HistoryKey* hkey);
-  // Request-level observation.  request_start() is the capture gate: the
-  // submit-time clock read happens only when tracing or metrics capture is
-  // on (0 otherwise, and observe_request is then a no-op).  The span /
-  // latency sample covers queue wait + execution per path.
-  enum class RequestPath { kExplicit, kAuto, kBatch };
-  std::uint64_t request_start() const;
-  void observe_request(RequestPath path, index_t m, index_t n, index_t k,
-                       std::size_t items, std::uint64_t t0);
   // Recomputes the level gauges a report should show current (cache and
   // choice entries, history size, recursive buffer-pool footprint).
   void refresh_gauges();

@@ -266,38 +266,6 @@ void FmmExecutorT<T>::release_slot(Slot* slot) {
 }
 
 template <typename T>
-void FmmExecutorT<T>::run(MatViewT<T> c, ConstMatViewT<T> a,
-                          ConstMatViewT<T> b) {
-  if (!hook_) {
-    run_unobserved(c, a, b);
-    return;
-  }
-  // The slot wait is outside the timed window: it measures contention on
-  // this executor, not the algorithm, and would poison the history.
-  Slot* s = acquire_slot();
-  struct Release {
-    FmmExecutorT* e;
-    Slot* s;
-    ~Release() { e->release_slot(s); }
-  } rel{this, s};
-  Timer t;
-  run_on_slot(*s, c, a, b, frozen_cfg_);
-  hook_(make_observation(t.seconds(), 1));
-}
-
-template <typename T>
-void FmmExecutorT<T>::run_unobserved(MatViewT<T> c, ConstMatViewT<T> a,
-                                     ConstMatViewT<T> b) {
-  Slot* s = acquire_slot();
-  struct Release {
-    FmmExecutorT* e;
-    Slot* s;
-    ~Release() { e->release_slot(s); }
-  } rel{this, s};
-  run_on_slot(*s, c, a, b, frozen_cfg_);
-}
-
-template <typename T>
 void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
                                   ConstMatViewT<T> a, ConstMatViewT<T> b,
                                   const GemmConfig& cfg) {
@@ -378,74 +346,17 @@ void FmmExecutorT<T>::run_on_slot(Slot& slot, MatViewT<T> c,
 }
 
 template <typename T>
-void FmmExecutorT<T>::run_batch(const BatchItemT<T>* items,
-                                std::size_t count) {
-  // Edge cases short-circuit before any batch bookkeeping (shared-B scan,
-  // batch mutex, parallel region): an empty batch is a no-op, a single
-  // item is exactly one run().
+void FmmExecutorT<T>::run_batch(const BatchAccessT<T>& batch) {
+  const std::size_t count = batch.count;
   if (count == 0) return;
-  assert(items != nullptr);
-  if (count == 1) {
-    run(items[0].c, items[0].a, items[0].b);
-    return;
-  }
-  // Shared-B viability: every item references one B (same base pointer and
-  // row stride).
-  bool shared_b = shared_b_possible_;
-  for (std::size_t i = 1; shared_b && i < count; ++i) {
-    shared_b = items[i].b.data() == items[0].b.data() &&
-               items[i].b.stride() == items[0].b.stride();
-  }
-  BatchAccess acc;
-  acc.items = items;
-  if (!hook_) {
-    run_batch_impl(acc, count, shared_b);
-    return;
-  }
-  Timer t;
-  run_batch_impl(acc, count, shared_b);
-  // One observation: `count` multiplies.
-  hook_(make_observation(t.seconds(), count));
-}
-
-template <typename T>
-void FmmExecutorT<T>::run_batch_strided(const StridedBatchT<T>& sb) {
-  // Empty first: a default-constructed descriptor is the no-op value, like
-  // run_batch(items, 0), and must not trip the shape assert.
-  if (sb.count == 0) return;
-  assert(sb.m == m_ && sb.n == n_ && sb.k == k_);
-  BatchAccess acc;
-  acc.sb = sb;
-  // Normalize dense defaults once; at() computes views from these.
-  if (acc.sb.ldc == 0) acc.sb.ldc = n_;
-  if (acc.sb.lda == 0) acc.sb.lda = k_;
-  if (acc.sb.ldb == 0) acc.sb.ldb = n_;
-  if (sb.count == 1) {
-    const BatchItemT<T> it = acc.at(0);
-    run(it.c, it.a, it.b);
-    return;
-  }
-  // A batch stride of 0 on B is the shared-operand encoding: every item
-  // reads the one panel, exactly what the prepacked fast path wants.
-  const bool shared_b = shared_b_possible_ && sb.stride_b == 0;
-  if (!hook_) {
-    run_batch_impl(acc, sb.count, shared_b);
-    return;
-  }
-  Timer t;
-  run_batch_impl(acc, sb.count, shared_b);
-  hook_(make_observation(t.seconds(), sb.count));
-}
-
-template <typename T>
-void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
-                                     std::size_t count, bool shared_b) {
 #ifndef NDEBUG
-  // Two items writing one C race silently (items execute concurrently in
-  // the item-parallel regimes).  Debug builds reject such batches outright.
   for (std::size_t i = 0; i < count; ++i) {
+    const BatchItemT<T> it = batch.at(i);
+    assert(it.c.rows() == m_ && it.c.cols() == n_ && it.a.cols() == k_);
+    // Two items writing one C race silently (items execute concurrently in
+    // the item-parallel regimes).  Debug builds reject such batches.
     for (std::size_t j = i + 1; j < count; ++j) {
-      assert(acc.at(i).c.data() != acc.at(j).c.data() &&
+      assert(it.c.data() != batch.at(j).c.data() &&
              "run_batch: two batch items write the same C");
     }
   }
@@ -456,7 +367,8 @@ void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
   // own the shared panels; a concurrent caller falls through to the
   // generic paths below.
   std::unique_lock<std::mutex> shared_lk(batch_mu_, std::defer_lock);
-  const bool prepacked = shared_b && shared_lk.try_lock();
+  const bool prepacked = count > 1 && shared_b_possible_ &&
+                         batch.shares_b() && shared_lk.try_lock();
 
   // Small-shape criterion, shared with the fused driver's mode switch:
   // when one multiply yields fewer i_c blocks than threads, internal data
@@ -465,44 +377,48 @@ void FmmExecutorT<T>::run_batch_impl(const BatchAccess& acc,
   // fused driver sees the interior *submatrix* rows (ms_), not m_; shapes
   // with no interior are all peel, which sees m_.
   const index_t rows_seen = m1_ > 0 ? ms_ : std::max<index_t>(m_, 1);
-  const bool item_parallel = nth_ > 1 && ceil_div(rows_seen, bp_.mc) < nth_;
+  const bool item_parallel =
+      count > 1 && nth_ > 1 && ceil_div(rows_seen, bp_.mc) < nth_;
+
+  // The slot wait stays outside the timed window (see set_timing_hook).
+  Lease mine{this, acquire_slot()};
+  Timer t;
   if (!prepacked && !item_parallel) {
     for (std::size_t i = 0; i < count; ++i) {
-      const BatchItemT<T> it = acc.at(i);
-      // Unobserved: the enclosing batch reports one aggregate observation.
-      run_unobserved(it.c, it.a, it.b);
+      const BatchItemT<T> it = batch.at(i);
+      run_on_slot(*mine.s, it.c, it.a, it.b, frozen_cfg_);
     }
-    return;
-  }
-
-  // nth_ lanes drain one item queue, each on its own slot lease.  A lane
-  // that cannot lease a slot (concurrent callers hold them) idles; lane 0,
-  // claimed first, uses the slot the caller leased *blocking*, which
-  // guarantees progress.  Prepacked, lane 0 first packs the per-r B~
-  // panels in r order, publishing each through panels_ready; the other
-  // lanes consume items at once, each item's r loop waiting only for its
-  // panel.  Items still walk r in order, so results stay bitwise identical
-  // to run().
-  Slot* mine = acquire_slot();
-  std::atomic<int> panels_ready{0};
-  std::atomic<std::int64_t> next{0};
-  const std::int64_t total = static_cast<std::int64_t>(count);
-  TaskPool::current().parallel_for(nth_, nth_, 1, [&](index_t lane, int) {
-    Slot* s = lane == 0 ? mine : try_acquire_slot();
-    if (prepacked && lane == 0) pack_shared_b(*s, acc.at(0).b, panels_ready);
-    if (s == nullptr) return;
-    for (std::int64_t i = next.fetch_add(1); i < total;
-         i = next.fetch_add(1)) {
-      const BatchItemT<T> it = acc.at(static_cast<std::size_t>(i));
-      if (prepacked) {
-        run_item_prepacked(*s, it, panels_ready);
-      } else {
-        run_on_slot(*s, it.c, it.a, it.b, serial_cfg_);
+  } else {
+    // nth_ lanes drain one item queue, each on its own slot lease.  A lane
+    // that cannot lease a slot (concurrent callers hold them) idles; lane
+    // 0 uses the slot leased *blocking* above, which guarantees progress.
+    // Prepacked, lane 0 first packs the per-r B~ panels in r order,
+    // publishing each through panels_ready; the other lanes consume items
+    // at once, each item's r loop waiting only for its panel.  Items still
+    // walk r in order, so results stay bitwise identical to run().
+    std::atomic<int> panels_ready{0};
+    std::atomic<std::int64_t> next{0};
+    const std::int64_t total = static_cast<std::int64_t>(count);
+    TaskPool::current().parallel_for(nth_, nth_, 1, [&](index_t lane, int) {
+      Lease lease{this, nullptr};
+      Slot* s = mine.s;
+      if (lane != 0) s = lease.s = try_acquire_slot();
+      if (prepacked && lane == 0) {
+        pack_shared_b(*s, batch.at(0).b, panels_ready);
       }
-    }
-    if (s != mine) release_slot(s);
-  });
-  release_slot(mine);
+      if (s == nullptr) return;
+      for (std::int64_t i = next.fetch_add(1); i < total;
+           i = next.fetch_add(1)) {
+        const BatchItemT<T> it = batch.at(static_cast<std::size_t>(i));
+        if (prepacked) {
+          run_item_prepacked(*s, it, panels_ready);
+        } else {
+          run_on_slot(*s, it.c, it.a, it.b, serial_cfg_);
+        }
+      }
+    });
+  }
+  if (hook_) hook_(make_observation(t.seconds(), count));
 }
 
 template <typename T>

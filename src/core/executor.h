@@ -26,12 +26,13 @@
 // threads than slots arrive).  Arithmetic depends only on the plan, shape
 // and config, never on which slot or thread ran it.
 //
-// run_batch() executes many operand triples against the one compiled plan.
-// For small shapes (too few i_c blocks to feed the threads — the same
-// criterion the fused driver uses to switch parallel modes) the items
-// themselves become the parallel dimension, each executed serially; when
-// every item also shares one B operand, the per-r packed B~ panels are
-// built once and reused across all items.
+// run_batch() executes many operand triples against the one compiled plan,
+// read through a BatchAccessT (an item array or a strided descriptor; one
+// multiply is a batch of one item).  For small shapes (too few i_c blocks
+// to feed the threads — the same criterion the fused driver uses to switch
+// parallel modes) the items themselves become the parallel dimension, each
+// executed serially; when every item also shares one B operand, the per-r
+// packed B~ panels are built once and reused across all items.
 //
 // The element type T (double or float; see src/gemm/dtype.h) selects which
 // kernel family the compiled executor dispatches into; FmmExecutor /
@@ -101,6 +102,57 @@ struct StridedBatchT {
   index_t stride_c = 0, stride_a = 0, stride_b = 0;  // item-to-item strides
 };
 
+// Indexed access over the operand triples of one shape group — the one
+// batch layout the executor and the Engine run: an item array, or a
+// StridedBatchT expanded one index at a time (branching on the mode per
+// item costs nothing next to a multiply, and no view array is
+// materialized).  A single multiply is a group of one item.  Does not own
+// the items or buffers.
+template <typename T>
+struct BatchAccessT {
+  const BatchItemT<T>* items = nullptr;  // item mode when non-null
+  StridedBatchT<T> sb;                   // strided mode otherwise
+  std::size_t count = 0;
+
+  static BatchAccessT of(const BatchItemT<T>* items, std::size_t count) {
+    BatchAccessT acc;
+    acc.items = items;
+    acc.count = count;
+    return acc;
+  }
+  // Resolves sb's dense row-stride defaults once; at() forms views from them.
+  static BatchAccessT of(const StridedBatchT<T>& sb) {
+    BatchAccessT acc;
+    acc.sb = sb;
+    acc.count = sb.count;
+    if (acc.sb.ldc == 0) acc.sb.ldc = sb.n;
+    if (acc.sb.lda == 0) acc.sb.lda = sb.k;
+    if (acc.sb.ldb == 0) acc.sb.ldb = sb.n;
+    return acc;
+  }
+
+  BatchItemT<T> at(std::size_t i) const {
+    if (items != nullptr) return items[i];
+    const index_t off = static_cast<index_t>(i);
+    return {MatViewT<T>(sb.c + off * sb.stride_c, sb.m, sb.n, sb.ldc),
+            ConstMatViewT<T>(sb.a + off * sb.stride_a, sb.m, sb.k, sb.lda),
+            ConstMatViewT<T>(sb.b + off * sb.stride_b, sb.k, sb.n, sb.ldb)};
+  }
+
+  // Every item reads one B: the same base pointer and row stride, or a
+  // batch stride of 0 on B (the shared-operand encoding).
+  bool shares_b() const {
+    if (items == nullptr) return sb.stride_b == 0;
+    for (std::size_t i = 1; i < count; ++i) {
+      if (items[i].b.data() != items[0].b.data() ||
+          items[i].b.stride() != items[0].b.stride()) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
 using BatchItem = BatchItemT<double>;
 using StridedBatch = StridedBatchT<double>;
 using BatchItemF32 = BatchItemT<float>;
@@ -133,40 +185,49 @@ class FmmExecutorT {
   FmmExecutorT& operator=(const FmmExecutorT&) = delete;
 
   // C += A * B.  Operands must match the compiled shape.  Thread-safe;
-  // zero allocation, zero re-derivation.
-  void run(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b);
+  // zero allocation, zero re-derivation.  A batch of one item.
+  void run(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b) {
+    const BatchItemT<T> item{c, a, b};
+    run_batch(BatchAccessT<T>::of(&item, 1));
+  }
 
-  // Executes every item (C_i += A_i * B_i) against the compiled plan.
-  // Items run in parallel (one per thread, serial inside) when the shape
-  // is too small to feed the threads from within one multiply; otherwise
-  // sequentially with full internal parallelism.  Results are bitwise
-  // identical to calling run() per item.  Empty and single-item batches
-  // short-circuit before any batch bookkeeping (no shared-B mutex, no
-  // parallel region).  Debug builds assert that no two items write the
-  // same C (a silently racy batch otherwise).
-  void run_batch(const BatchItemT<T>* items, std::size_t count);
+  // Executes every item (C_i += A_i * B_i) against the compiled plan: the
+  // one observed entry every run form lands in.  Items run in parallel
+  // (one per thread, serial inside) when the shape is too small to feed
+  // the threads from within one multiply; otherwise sequentially with full
+  // internal parallelism.  A batch whose items share one B
+  // (BatchAccessT::shares_b) takes the shared-B prepacked fast path when
+  // the plan and shape allow it.  Results are bitwise identical to calling
+  // run() per item.  Single-item batches skip the batch bookkeeping (no
+  // shared-B mutex, no parallel region).  Every item must match the
+  // compiled shape (the Engine validates; this layer asserts).  Debug
+  // builds assert that no two items write the same C (a silently racy
+  // batch otherwise).
+  void run_batch(const BatchAccessT<T>& batch);
+  void run_batch(const BatchItemT<T>* items, std::size_t count) {
+    run_batch(BatchAccessT<T>::of(items, count));
+  }
   void run_batch(const std::vector<BatchItemT<T>>& items) {
     run_batch(items.data(), items.size());
   }
+  // The strided/interleaved layout: per-index views are computed on the
+  // fly from the base pointers — no BatchItem array is materialized.
+  void run_batch_strided(const StridedBatchT<T>& sb) {
+    run_batch(BatchAccessT<T>::of(sb));
+  }
 
-  // run_batch over a strided/interleaved layout: per-index views are
-  // computed on the fly from the base pointers — no BatchItem array is
-  // materialized.  sb's shape must match the compiled shape (the Engine
-  // validates; this layer asserts).  stride_b == 0 routes through the
-  // shared-B prepacked fast path when the plan/shape allow it.
-  void run_batch_strided(const StridedBatchT<T>& sb);
-
-  // Observation hook: called once per top-level run() (items == 1) and
-  // once per multi-item batch (items == count) — a batch is one
-  // observation of `items` multiplies, never double-counted per item.  The
-  // ExecObservation carries everything a consumer needs to attribute the
-  // timing (the frozen kernel name, element type, and compiled shape), so
-  // one hook serves both the online performance model and the tracing
-  // layer (src/obs/trace.h).  The hook runs on the calling thread after
-  // the arithmetic finishes and must be cheap and thread-safe (concurrent
-  // run() calls invoke it concurrently).  Install before the executor is
-  // shared between threads (the Engine installs it right after
-  // construction); not synchronized against in-flight runs.
+  // Observation hook: called once per run_batch (items == count; 1 for
+  // run()) — a batch is one observation of `items` multiplies, never
+  // double-counted per item.  The wait for a workspace slot lies outside
+  // the timed window: it measures contention on this executor, not the
+  // algorithm.  The ExecObservation carries everything a consumer needs to
+  // attribute the timing (the frozen kernel name, element type, and
+  // compiled shape), so one hook serves both the online performance model
+  // and the tracing layer (src/obs/trace.h).  The hook runs on the
+  // calling thread after the arithmetic finishes and must be cheap and
+  // thread-safe (concurrent run() calls invoke it concurrently).  Install
+  // before the executor is shared between threads (the Engine installs it
+  // right after construction); not synchronized against in-flight runs.
   using TimingHook = std::function<void(const ExecObservation&)>;
   void set_timing_hook(TimingHook hook) { hook_ = std::move(hook); }
   bool has_timing_hook() const { return static_cast<bool>(hook_); }
@@ -205,22 +266,6 @@ class FmmExecutorT {
     double coeff;
   };
 
-  // Uniform indexed access over the two batch layouts: a BatchItem array,
-  // or a StridedBatch expanded one index at a time (branching on the mode
-  // per item costs nothing next to a multiply, and avoids materializing
-  // views for the strided layout).
-  struct BatchAccess {
-    const BatchItemT<T>* items = nullptr;  // per-item mode when non-null
-    StridedBatchT<T> sb;                   // strided mode otherwise
-    BatchItemT<T> at(std::size_t i) const {
-      if (items != nullptr) return items[i];
-      const index_t off = static_cast<index_t>(i);
-      return {MatViewT<T>(sb.c + off * sb.stride_c, sb.m, sb.n, sb.ldc),
-              ConstMatViewT<T>(sb.a + off * sb.stride_a, sb.m, sb.k, sb.lda),
-              ConstMatViewT<T>(sb.b + off * sb.stride_b, sb.k, sb.n, sb.ldb)};
-    }
-  };
-
   // Fills the hook observation from the frozen compile-time facts.
   ExecObservation make_observation(double seconds, std::size_t items) const {
     ExecObservation o;
@@ -238,15 +283,19 @@ class FmmExecutorT {
   Slot* acquire_slot();
   Slot* try_acquire_slot();
   void release_slot(Slot* slot);
-  // run() minus the timing hook: the batch paths' per-item workhorse (the
-  // enclosing batch reports one aggregate observation instead).
-  void run_unobserved(MatViewT<T> c, ConstMatViewT<T> a, ConstMatViewT<T> b);
+  // Returns a leased slot (if any) to the pool when it goes out of scope,
+  // so a throwing run never strands a lease.
+  struct Lease {
+    FmmExecutorT* e;
+    Slot* s;
+    ~Lease() {
+      if (s != nullptr) e->release_slot(s);
+    }
+  };
   // The full multiply (interior + peel) on one slot.  `cfg` is either the
   // frozen config or its serial twin (batch item-parallel mode).
   void run_on_slot(Slot& slot, MatViewT<T> c, ConstMatViewT<T> a,
                    ConstMatViewT<T> b, const GemmConfig& cfg);
-  void run_batch_impl(const BatchAccess& acc, std::size_t count,
-                      bool shared_b);
   // Shared-B fast path with pack/compute overlap: one lane packs the
   // per-r B~ panels in order, publishing each through an atomic watermark;
   // the others consume items, gating each item's r step on that watermark.

@@ -111,7 +111,9 @@ class BufferPool {
     AlignedBuffer<double> buf_;
   };
 
-  BufferPool() = default;
+  // The free list is reserved up front, so returning a lease (in a
+  // destructor) never allocates.
+  BufferPool() { free_.reserve(kMaxFree); }
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 

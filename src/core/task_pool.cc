@@ -8,6 +8,7 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -85,8 +86,24 @@ const Status& TaskFuture::status() const {
   return state_->status;
 }
 
+const std::shared_ptr<TaskFuture::State>& TaskFuture::ready_ok() {
+  static const std::shared_ptr<State> ok = [] {
+    auto st = std::make_shared<State>();
+    st->done = true;
+    return st;
+  }();
+  return ok;
+}
+
+// Made at start-up, so that no request is the first to ask for it.
+[[maybe_unused]] const bool ready_ok_made = TaskFuture::ready(Status{}).done();
+
 TaskFuture TaskFuture::ready(Status status) {
   TaskFuture f;
+  if (status.ok()) {
+    f.state_ = ready_ok();
+    return f;
+  }
   f.state_ = std::make_shared<State>();
   f.state_->status = std::move(status);
   f.state_->done = true;
@@ -131,12 +148,12 @@ struct TaskPool::Impl {
         (metrics != nullptr && metrics->enabled())) {
       t.enqueue_ns = obs::now_ns();
     }
-    ++outstanding;
     if (front) {
       ready.push_front(std::move(t));
     } else {
       ready.push_back(std::move(t));
     }
+    ++outstanding;  // after the push, which may throw
     ready_size.store(ready.size(), std::memory_order_relaxed);
   }
 
@@ -389,7 +406,11 @@ void ParallelTeam::run_loop(const Loop& l, std::int64_t n, std::int64_t grain) {
     std::unique_lock<std::mutex> lk(st.mu);
     st.done_cv.wait(lk, finished);
   }
-  if (j->error != nullptr) std::rethrow_exception(j->error);
+  if (j->error != nullptr) {
+    // Taken out of the shared job, the exception is released by this
+    // thread alone, never by a helper dropping the last team reference.
+    std::rethrow_exception(std::exchange(j->error, nullptr));
+  }
 }
 
 std::shared_ptr<ParallelTeam::State> TaskPool::fork_team(
@@ -402,10 +423,20 @@ std::shared_ptr<ParallelTeam::State> TaskPool::fork_team(
   // contend with the workers picking them up.
   std::unique_lock<std::mutex> lk(impl_->mu, std::defer_lock);
   lock_spinning(lk);
-  for (int h = 1; h < want; ++h) {
-    Task task;
-    task.fn = [st] { return st->help(), Status{}; };
-    impl_->push_locked(std::move(task), /*front=*/true);
+  try {
+    for (int h = 1; h < want; ++h) {
+      Task task;
+      task.fn = [st] { return st->help(), Status{}; };
+      impl_->push_locked(std::move(task), /*front=*/true);
+    }
+  } catch (...) {
+    // A failed push: the helpers already queued must find the team
+    // closed, or they would wait for loops that never come, and a worker
+    // must wake to retire them.
+    lk.unlock();
+    join_team(st);
+    impl_->work_cv.notify_all();
+    throw;
   }
   const int wake = static_cast<int>(impl_->ready.size()) - impl_->awake;
   lk.unlock();

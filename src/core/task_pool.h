@@ -64,6 +64,9 @@ class TaskFuture {
  private:
   friend class TaskPool;
   struct State;
+  // The one resolved-OK state every successful ready() future shares, so
+  // reporting success allocates nothing.
+  static const std::shared_ptr<State>& ready_ok();
   std::shared_ptr<State> state_;
 };
 

@@ -26,6 +26,7 @@ enum class StatusCode {
   kInvalidArgument,  // anything else malformed (null data, bad counts, ...)
   kIOError,        // a cache/history file could not be read or written
   kCorruptData,    // a persisted file failed version/format validation
+  kResourceExhausted,  // an allocation failed while serving the request
 };
 
 const char* status_code_name(StatusCode code);
@@ -85,6 +86,8 @@ inline const char* status_code_name(StatusCode code) {
       return "IO_ERROR";
     case StatusCode::kCorruptData:
       return "CORRUPT_DATA";
+    case StatusCode::kResourceExhausted:
+      return "RESOURCE_EXHAUSTED";
   }
   return "?";
 }

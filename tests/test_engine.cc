@@ -616,28 +616,32 @@ TEST(EngineAuto, MatchesReference) {
 
 TEST(EngineAuto, ChoiceCacheIsBoundedWithLru) {
   Engine::Options opts;
-  opts.cache_capacity = 4;
-  opts.choice_capacity = 2;
+  opts.cache_capacity = 1;  // one shard of one executor: 8 choices
   Engine engine(opts);
-  ASSERT_EQ(engine.choice_capacity(), 2u);
-  (void)engine.choice_for(512, 512, 512);    // miss
-  (void)engine.choice_for(1024, 1024, 512);  // miss
-  (void)engine.choice_for(512, 512, 512);    // hit
+  ASSERT_EQ(engine.choice_capacity(), 8u);
+  const index_t first = 512;
+  for (index_t i = 0; i < 8; ++i) {
+    (void)engine.choice_for(first + 64 * i, 512, 512);  // 8 misses
+  }
+  (void)engine.choice_for(first, 512, 512);  // hit
   auto s1 = engine.stats();
-  EXPECT_EQ(s1.choice_misses, 2u);
+  EXPECT_EQ(s1.choice_misses, 8u);
   EXPECT_EQ(s1.choice_hits, 1u);
-  EXPECT_EQ(s1.choice_entries, 2u);
+  EXPECT_EQ(s1.choice_entries, 8u);
 
   (void)engine.choice_for(2048, 2048, 256);  // miss + eviction
   auto s2 = engine.stats();
-  EXPECT_EQ(s2.choice_misses, 3u);
+  EXPECT_EQ(s2.choice_misses, 9u);
   EXPECT_EQ(s2.choice_evictions, 1u);
-  EXPECT_EQ(s2.choice_entries, 2u);
+  EXPECT_EQ(s2.choice_entries, 8u);
 
-  // 512^3 was more recently used than 1024: it must still be cached.
-  (void)engine.choice_for(512, 512, 512);
+  // The first shape was more recently used than the second: it must still
+  // be cached, and the second was the one evicted.
+  (void)engine.choice_for(first, 512, 512);
   auto s3 = engine.stats();
   EXPECT_EQ(s3.choice_hits, s2.choice_hits + 1);
+  (void)engine.choice_for(first + 64, 512, 512);
+  EXPECT_EQ(engine.stats().choice_misses, s3.choice_misses + 1);
 }
 
 TEST(EngineAuto, AutoAndExplicitShareCompiledExecutors) {

@@ -368,9 +368,10 @@ TEST(EngineHistory, DisabledEngineRecordsNothing) {
 }
 
 TEST(EngineHistory, SkewedHistoryFlipsChoiceWithBitwiseIdenticalResults) {
-  Engine::Options opts;
-  opts.history_min_observations = 3;
-  Engine engine(opts);
+  Engine engine;
+  PerfHistory::Tuning tuning;
+  tuning.min_observations = 3;
+  engine.history().set_tuning(tuning);
   const index_t s = 64;
 
   // Cold: the analytic model picks gemm at this size (cached decision).
@@ -479,15 +480,6 @@ TEST(EngineHistory, CorruptHistoryFileDegradesToEmptyStore) {
 
 TEST(EngineHistory, OptionsBeatEnvBeatDefaults) {
   {
-    ScopedEnv env("FMM_CHOICE_CACHE", "5");
-    Engine from_env;
-    EXPECT_EQ(from_env.choice_capacity(), 5u);
-    Engine::Options opts;
-    opts.choice_capacity = 9;
-    Engine from_opts(opts);
-    EXPECT_EQ(from_opts.choice_capacity(), 9u);
-  }
-  {
     ScopedEnv env("FMM_WORKERS", "3");
     Engine from_env;
     EXPECT_EQ(from_env.workers(), 3);
@@ -506,15 +498,6 @@ TEST(EngineHistory, OptionsBeatEnvBeatDefaults) {
     EXPECT_TRUE(from_opts.history_enabled());
   }
   {
-    ScopedEnv env("FMM_HISTORY_MIN", "7");
-    Engine from_env;
-    EXPECT_EQ(from_env.history().tuning().min_observations, 7u);
-    Engine::Options opts;
-    opts.history_min_observations = 4;
-    Engine from_opts(opts);
-    EXPECT_EQ(from_opts.history().tuning().min_observations, 4u);
-  }
-  {
     const std::string env_path = temp_path("fmm_hist_env_path.txt");
     const std::string opt_path = temp_path("fmm_hist_opt_path.txt");
     ScopedEnv env("FMM_HISTORY_CACHE", env_path.c_str());
@@ -531,9 +514,10 @@ TEST(EngineHistory, OptionsBeatEnvBeatDefaults) {
 }
 
 TEST(EngineHistory, ConcurrentRecordRankAndSubmitHammering) {
-  Engine::Options opts;
-  opts.history_min_observations = 2;
-  Engine engine(opts);
+  Engine engine;
+  PerfHistory::Tuning tuning;
+  tuning.min_observations = 2;
+  engine.history().set_tuning(tuning);
   const Plan plan = strassen_plan();
   constexpr int kThreads = 4;
   constexpr int kIters = 6;

@@ -369,6 +369,82 @@ TEST(RecursiveNested, OnWorkerSequentialMatchesHostGraph) {
   }
 }
 
+// A batch item above the cutoff descends exactly as the same multiply sent
+// alone.  Every layout — an item array, a strided batch, a cross-shape
+// item batch — gives the bits of the per-item multiply loop, and each item
+// counts one recursive run, on the explicit and on the auto path.
+TEST(RecursiveBatch, ItemsDescendLikeSingleRequests) {
+  Engine::Options o;
+  o.recurse_cutoff = 20;
+  Engine e(o);
+  // Paint GEMM as slow at the batch shapes, so that the auto path picks a
+  // fast algorithm there (and descends) too.
+  PerfHistory::Tuning tuning;
+  tuning.min_observations = 3;
+  e.history().set_tuning(tuning);
+  const index_t n = 96, m2 = 80, k2 = 88;
+  for (int i = 0; i < 3; ++i) {
+    e.history().record(e.gemm_history_key(n, n, n), 0.01);
+    e.history().record(e.gemm_history_key(m2, n, k2), 0.01);
+  }
+
+  const Plan one = one_level_plan();
+  for (const Plan* plan : {&one, static_cast<const Plan*>(nullptr)}) {
+    SCOPED_TRACE(plan != nullptr ? "one-level <2,2,2>" : "auto");
+    auto single = [&](MatView c, ConstMatView a, ConstMatView b) {
+      return plan != nullptr ? e.multiply(*plan, c, a, b) : e.multiply(c, a, b);
+    };
+    auto batch = [&](const BatchSpec& spec) {
+      return plan != nullptr ? e.multiply(*plan, spec) : e.multiply(spec);
+    };
+
+    // Two n^3 items stacked in one buffer each: item i is row block i.
+    for (bool strided : {false, true}) {
+      SCOPED_TRACE(strided ? "strided" : "items");
+      Matrix c = Matrix::random(2 * n, n, 1);
+      const Matrix a = Matrix::random(2 * n, n, 2);
+      const Matrix b = Matrix::random(2 * n, n, 3);
+      Matrix want = c.clone();
+      std::vector<BatchItem> items;
+      for (index_t i = 0; i < 2; ++i) {
+        ASSERT_TRUE(single(want.view().block(i * n, 0, n, n),
+                           a.view().block(i * n, 0, n, n),
+                           b.view().block(i * n, 0, n, n))
+                        .ok());
+        items.push_back({c.view().block(i * n, 0, n, n),
+                         a.view().block(i * n, 0, n, n),
+                         b.view().block(i * n, 0, n, n)});
+      }
+      StridedBatch sb;
+      sb.m = sb.n = sb.k = n;
+      sb.count = 2;
+      sb.c = c.data();
+      sb.a = a.data();
+      sb.b = b.data();
+      sb.stride_c = sb.stride_a = sb.stride_b = n * n;
+      const std::uint64_t before = e.stats().recursive_runs;
+      const BatchSpec spec =
+          strided ? BatchSpec::strided(sb) : BatchSpec::items(items);
+      ASSERT_TRUE(batch(spec).ok());
+      EXPECT_EQ(e.stats().recursive_runs, before + 2);
+      expect_bitwise_equal(c, want);
+    }
+
+    // A cross-shape batch: two shape groups, each above the cutoff.
+    RandomProblem p = random_problem(n, n, n, 5);
+    RandomProblem q = random_problem(m2, n, k2, 6);
+    ASSERT_TRUE(single(p.want.view(), p.a.view(), p.b.view()).ok());
+    ASSERT_TRUE(single(q.want.view(), q.a.view(), q.b.view()).ok());
+    const std::vector<BatchItem> items = {{p.c.view(), p.a.view(), p.b.view()},
+                                          {q.c.view(), q.a.view(), q.b.view()}};
+    const std::uint64_t before = e.stats().recursive_runs;
+    ASSERT_TRUE(batch(BatchSpec::items(items)).ok());
+    EXPECT_EQ(e.stats().recursive_runs, before + 2);
+    expect_bitwise_equal(p.c, p.want);
+    expect_bitwise_equal(q.c, q.want);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The hybrid schedule: full windows one product per participant, the
 // products left over after the last full window one at a time across the
